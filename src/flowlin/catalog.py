@@ -214,7 +214,8 @@ def _sphere_entry() -> CatalogEntry:
 
 
 def _klein_identify(p):
-    return np.array([np.mod(p[0] + 0.5, 1.0), np.mod(-p[1], 1.0)])
+    p = np.asarray(p, float)
+    return np.stack([np.mod(p[..., 0] + 0.5, 1.0), np.mod(-p[..., 1], 1.0)], axis=-1)
 
 
 def _klein_F(x):

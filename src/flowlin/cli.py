@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,14 +30,6 @@ from .flows import Trajectory, export_trajectory_csv, sample_trajectory
 
 class UsageError(Exception):
     """Configuration problem: wrong flags, missing catalog data, bad input."""
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FLOWLIN_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else os.cpu_count() or 1
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,7 +54,6 @@ def _report(args, checks: list[dict], extra: dict | None = None, elapsed=None) -
         "tool_version": __version__,
         "config": config,
         "checks": checks,
-        "threads": _thread_cap(),
     }
     if extra:
         report.update(extra)

@@ -216,15 +216,16 @@ def diagnose(
     PY = dictionary.matrix(holdout.Y).T
     holdout_residual = _residual(model.K, PX, PY)
 
+    # lift injectivity: min over holdout pairs of lift distance over chart
+    # distance, one row of pairs at a time; NaN ratios are skipped
     lifts = PX.T
     margin = np.inf
-    n = len(holdout.X)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_state = sys.chart.distance(holdout.X[i], holdout.X[j])
-            if d_state < 1e-9:
-                continue
-            margin = min(margin, float(np.linalg.norm(lifts[i] - lifts[j])) / d_state)
+    for i in range(len(holdout.X)):
+        d_state = sys.chart.distances(holdout.X[i], holdout.X[i + 1 :])
+        apart = d_state >= 1e-9
+        diff = lifts[i] - lifts[i + 1 :][apart]
+        ratios = np.sqrt(np.vecdot(diff, diff)) / d_state[apart]
+        margin = min(margin, float(np.fmin.reduce(ratios, initial=np.inf)))
     on_circle = np.abs(np.abs(model.spectrum) - 1.0) < 1e-6
 
     report = {

@@ -426,7 +426,7 @@ def verify_embedding_quality(
             J[:, i] = (
                 np.asarray(cand.F(x + e), float) - np.asarray(cand.F(x - e), float)
             ) / (2 * h)
-        sigma_min = min(sigma_min, float(np.linalg.svd(J, compute_uv=False)[-1]))
+        sigma_min = float(np.minimum(sigma_min, np.linalg.svd(J, compute_uv=False)[-1]))
 
     properness = {"available": False}
     if len(options.escape_states) >= 4:
@@ -447,8 +447,9 @@ def verify_embedding_quality(
 
     return QualityReport(
         injectivity_margin=margin,
-        injectivity_flagged=margin < options.injectivity_floor,
+        # written so that a NaN margin or sigma is flagged, not passed
+        injectivity_flagged=not margin >= options.injectivity_floor,
         min_jacobian_sigma=float(sigma_min),
-        immersion_flagged=sigma_min < options.sigma_floor,
+        immersion_flagged=not sigma_min >= options.sigma_floor,
         properness=properness,
     )

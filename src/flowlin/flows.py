@@ -9,6 +9,7 @@ domain once, after each full evolve call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,14 +40,20 @@ class TimeOutOfDomain(FlowlinError):
     """Requested time lies outside the trajectory's domain of definition."""
 
 
+ORBIT_LIMIT = 64  # largest identification group a chart may generate
+
+
 @dataclass(frozen=True, eq=False)
 class ChartDescriptor:
     """Coordinate chart: one wrap rule per coordinate, optional identifications.
 
-    ``wraps[i]`` is None for an unwrapped coordinate or the period (1 or 2*pi)
-    of an angle.  ``identifications`` are chart isometries generating a finite
-    quotient group (e.g. the antipodal map); distances are minimized over the
-    orbit they generate.
+    States come in batches: an ``(N, dim)`` array holds one state per row,
+    and a single ``(dim,)`` state is the N = 1 case.  ``wraps[i]`` is None
+    for an unwrapped coordinate or the period (1 or 2*pi) of an angle.
+    ``identifications`` are chart isometries generating a finite quotient
+    group (e.g. the antipodal map); each maps a batch to a batch of the same
+    shape, so coordinates are read as ``x[..., i]``.  Distances are
+    minimized over the whole orbit, every word in the generators.
     """
 
     kind: str
@@ -65,17 +72,43 @@ class ChartDescriptor:
                 out[..., i] = np.mod(out[..., i], period)
         return out
 
-    def orbit(self, x: np.ndarray) -> list[np.ndarray]:
-        """Quotient orbit of a point (identity first, closure capped)."""
-        reps = [self.wrap(x)]
-        frontier = list(reps)
-        while frontier and len(reps) < 8:
-            y = frontier.pop()
-            for g in self.identifications:
-                z = self.wrap(g(y))
-                if not any(np.allclose(z, r, atol=1e-12) for r in reps):
-                    reps.append(z)
-                    frontier.append(z)
+    def _identify(self, g: Callable, states: np.ndarray) -> np.ndarray:
+        image = np.asarray(g(states), dtype=float)
+        if image.shape != states.shape:
+            raise FlowlinError(
+                f"{self.kind}: identification mapped states of shape {states.shape} "
+                f"to shape {image.shape}; it must act row-wise on batches"
+            )
+        return self.wrap(image)
+
+    @cached_property
+    def _group_words(self) -> tuple:
+        """Breadth-first (parent, generator) steps, one per non-identity element.
+
+        Group elements are told apart by their images of a generic probe
+        state, so the orbit of every batch uses the same words.
+        """
+        probe = np.mod(np.sqrt(2.0) * np.arange(1, self.dim + 1), 1.0)
+        images, steps = [probe[None, :]], []
+        for parent, y in enumerate(images):
+            for k, g in enumerate(self.identifications):
+                z = self._identify(g, y)
+                if any(self._coordinate_distance(z, r)[0] <= 1e-9 for r in images):
+                    continue
+                if len(images) == ORBIT_LIMIT:
+                    raise FlowlinError(
+                        f"{self.kind}: identifications generate more than "
+                        f"{ORBIT_LIMIT} group elements; the quotient group must be finite"
+                    )
+                images.append(z)
+                steps.append((parent, k))
+        return tuple(steps)
+
+    def orbit(self, states) -> list[np.ndarray]:
+        """Quotient orbit: one wrapped copy of the states per group element, identity first."""
+        reps = [self.wrap(states)]
+        for parent, k in self._group_words:
+            reps.append(self._identify(self.identifications[k], reps[parent]))
         return reps
 
     def _coordinate_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,22 +118,29 @@ class ChartDescriptor:
                 d[..., i] = np.minimum(d[..., i] % period, period - d[..., i] % period)
         return np.sqrt(np.sum(d * d, axis=-1))
 
-    def distance(self, a, b) -> float:
-        """Min-over-wraps per coordinate, min over identification orbit."""
+    def distances(self, a, states) -> np.ndarray:
+        """Chart distance from the state ``a`` to every row of ``states``.
+
+        Min over wraps per coordinate and over the identification orbit of
+        each row.  A row with no finite distance (a NaN state) is at
+        distance inf, so it never passes for a close one.
+        """
         a = self.wrap(a)
-        best = np.inf
-        for rep in self.orbit(np.asarray(b, float)):
-            best = min(best, float(self._coordinate_distance(a, rep)))
+        reps = self.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
+        best = self._coordinate_distance(a, reps[0])
+        for rep in reps[1:]:
+            best = np.fmin(best, self._coordinate_distance(a, rep))
+        best[np.isnan(best)] = np.inf
         return best
 
+    def distance(self, a, b) -> float:
+        """Chart distance between two states."""
+        return float(self.distances(a, b)[0])
+
     def pairwise_distances(self, states: np.ndarray) -> np.ndarray:
-        """All-pairs chart distance for an (N, dim) array of states."""
-        X = self.wrap(np.asarray(states, float))
-        d = self._coordinate_distance(X[:, None, :], X[None, :, :])
-        for g in self.identifications:
-            GX = self.wrap(np.apply_along_axis(g, 1, X))
-            d = np.minimum(d, self._coordinate_distance(X[:, None, :], GX[None, :, :]))
-        return d
+        """All-pairs chart distance for an (N, dim) array of states, row by row."""
+        X = np.asarray(states, float)
+        return np.array([self.distances(x, X) for x in X]).reshape(len(X), len(X))
 
 
 def euclidean(n: int) -> ChartDescriptor:

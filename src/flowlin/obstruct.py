@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FlowlinError
-from .flows import FlowSystem, evolve
+from .flows import FlowSystem, evolve, torus_angles
 from .linalg import as_frequency_vector, rational_independence
 
 __all__ = [
@@ -225,12 +225,6 @@ def smooth_linearizability_verdict(facts: SystemFacts) -> Verdict:
     return Verdict(NO_OBSTRUCTION, tuple(applied))
 
 
-def _torus_distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(np.mod(a, 1.0) - np.mod(b, 1.0))
-    d = np.minimum(d, 1.0 - d)
-    return float(np.sqrt(np.sum(d * d)))
-
-
 def quasiperiodic_factor_certificate(
     sys: FlowSystem,
     Fmap: Callable,
@@ -276,11 +270,12 @@ def quasiperiodic_factor_certificate(
     elif times is None:
         raise ValueError("explicit states require explicit times")
 
+    torus = torus_angles(n)
     worst = 0.0
     for x, t in zip(states, times):
         lhs = np.asarray(Fmap(evolve(sys, x, float(t))), dtype=float)
         rhs = np.mod(np.asarray(Fmap(np.asarray(x, float)), dtype=float) + w * float(t), 1.0)
-        worst = max(worst, _torus_distance(lhs, rhs))
+        worst = max(worst, torus.distance(lhs, rhs))
     if worst > tol:
         return Verdict(
             NO_OBSTRUCTION,

@@ -65,17 +65,16 @@ class AttractorModel:
         if self.exact_projector is not None:
             return self.restricted_flow.chart.wrap(np.asarray(self.exact_projector(x), float))
         chart = self.restricted_flow.chart
-        x = np.asarray(x, dtype=float)
-        dists = np.array([chart.distance(x, p) for p in self.cloud])
-        best = self.cloud[int(np.argmin(dists))]
+        best = self.cloud[int(np.argmin(chart.distances(x, self.cloud)))]
         # refine along the flow: fit a parabola to d^2 at offsets {-h, 0, h},
         # with h the cloud resolution around the best point
-        neighbor_gaps = [
-            d for p in self.cloud if (d := chart.distance(best, p)) > 1e-12
-        ]
-        h = max(1e-6, min(neighbor_gaps, default=1e-3))
-        pts = [evolve(self.restricted_flow, best, delta) for delta in (-h, 0.0, h)]
-        d2 = np.array([chart.distance(x, p) ** 2 for p in pts])
+        gaps = chart.distances(best, self.cloud)
+        gaps = gaps[gaps > 1e-12]
+        h = max(1e-6, float(gaps.min()) if gaps.size else 1e-3)
+        pts = np.array([evolve(self.restricted_flow, best, delta) for delta in (-h, 0.0, h)])
+        # Python float ** 2 (C pow) can differ from numpy's d * d in the last
+        # bit; squaring floats keeps d2 equal to chart.distance(x, p) ** 2
+        d2 = np.array([d**2 for d in chart.distances(x, pts).tolist()])
         denom = d2[0] - 2 * d2[1] + d2[2]
         delta_star = 0.0 if denom <= 0 else 0.5 * h * (d2[0] - d2[2]) / denom
         delta_star = float(np.clip(delta_star, -h, h))

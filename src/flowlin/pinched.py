@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FlowlinError
+from .flows import torus_angles
 from .linalg import LinearGenerator, matrix_exp
 
 __all__ = [
@@ -388,25 +389,25 @@ def verify_family(
                     consistent = False
 
     embeds = np.array([canonical_embedding(spec, p) for p in points])
+    flat = embeds.reshape(len(points), -1)
+    thetas = np.array([p.theta for p in points])
+    bases = np.array([p.base for p in points])
+    # torus distance on canonical coordinates; only an exact quotient metric
+    # away from the pinch loci, so the ratio is a probe there
+    torus = torus_angles(spec.n)
     min_sep = np.inf
     min_ratio = np.inf
     for i in range(len(points)):
-        for j in range(i + 1, min(i + 40, len(points))):
-            same = (
-                np.array_equal(points[i].theta, points[j].theta)
-                and np.array_equal(points[i].base, points[j].base)
-            )
-            if same:
-                continue
-            sep = float(np.linalg.norm(embeds[i] - embeds[j]))
-            min_sep = min(min_sep, sep)
-            # torus distance on canonical coordinates; only an exact quotient
-            # metric away from the pinch loci, so the ratio is a probe there
-            d = np.abs(points[i].theta - points[j].theta)
-            d = np.minimum(d, 1.0 - d)
-            dist = float(np.sqrt(np.sum(d * d)))
-            if dist > 1e-12:
-                min_ratio = min(min_ratio, sep / dist)
+        window = slice(i + 1, min(i + 40, len(points)))
+        same = np.all(thetas[window] == thetas[i], axis=1) & np.all(
+            bases[window] == bases[i], axis=1
+        )
+        diff = flat[i] - flat[window][~same]
+        sep = np.sqrt(np.vecdot(diff, diff))
+        min_sep = min(min_sep, float(sep.min(initial=np.inf)))
+        dist = torus.distances(thetas[i], thetas[window][~same])
+        ratios = sep[dist > 1e-12] / dist[dist > 1e-12]
+        min_ratio = min(min_ratio, float(ratios.min(initial=np.inf)))
 
     radius = float(np.max(np.linalg.norm(embeds.reshape(len(points), -1, 2), axis=2)))
     passed = worst <= linearity_tol and consistent and min_sep > 0.0

@@ -1,0 +1,115 @@
+"""One chart distance: scalar, one-to-many and all-pairs paths agree bit for bit,
+quotient orbits are closed over every word in the generators, and the
+row-wise EDMD injectivity scan matches the scalar pair loop it replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowlin import catalog, edmd
+from flowlin.errors import FlowlinError
+from flowlin.flows import torus_angles
+
+# Z2 x Z2: two commuting half shifts, so the orbit needs the word g1 g2
+HALF_SHIFTS = torus_angles(
+    2, (lambda x: x + np.array([0.5, 0.0]), lambda x: x + np.array([0.0, 0.5]))
+)
+# Z4 from one quarter shift: the orbit needs g^2 and g^3
+QUARTER_SHIFT = torus_angles(2, (lambda x: x + np.array([0.25, 0.0]),))
+
+
+def _unwrapped_torus_states(rng, count):
+    return rng.uniform(-1.5, 2.5, (count, 2))
+
+
+CHARTS = {
+    **{name: (catalog.get(name).system.chart, catalog.get(name).sample_states)
+       for name in catalog.names()},
+    "half_shifts": (HALF_SHIFTS, _unwrapped_torus_states),
+    "quarter_shift": (QUARTER_SHIFT, _unwrapped_torus_states),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_distance_paths_agree_bitwise_on_every_chart(seed):
+    rng = np.random.default_rng(seed)
+    for name, (chart, sampler) in CHARTS.items():
+        X = np.asarray(sampler(rng, 9), float)
+        pairwise = chart.pairwise_distances(X)
+        assert pairwise.shape == (len(X), len(X)), name
+        for i, a in enumerate(X):
+            row = chart.distances(a, X)
+            for j, b in enumerate(X):
+                assert chart.distance(a, b) == row[j] == pairwise[i, j], (name, i, j)
+
+
+def _brute_force(shifts, a, X):
+    plain = torus_angles(len(a))
+    return np.min([plain.distances(a, X + s) for s in shifts], axis=0)
+
+
+@pytest.mark.parametrize(
+    "chart, shifts",
+    [
+        (HALF_SHIFTS, [[u, v] for u in (0.0, 0.5) for v in (0.0, 0.5)]),
+        (QUARTER_SHIFT, [[k / 4, 0.0] for k in range(4)]),
+        (torus_angles(1, (lambda x: x + 1.0 / 12.0,)), [[k / 12] for k in range(12)]),
+    ],
+    ids=["z2xz2", "z4", "z12"],
+)
+def test_quotient_distance_is_min_over_the_whole_group(chart, shifts):
+    rng = np.random.default_rng(7)
+    X = rng.random((50, chart.dim))
+    assert len(chart.orbit(X)) == len(shifts)
+    expected = np.array([_brute_force(np.array(shifts), a, X) for a in X])
+    np.testing.assert_allclose(chart.pairwise_distances(X), expected, rtol=0, atol=1e-12)
+    for i in (0, 17):
+        assert chart.distance(X[i], X[31]) == pytest.approx(expected[i, 31], abs=1e-12)
+
+
+def test_infinite_identification_group_is_an_error():
+    chart = torus_angles(1, (lambda x: x + (np.sqrt(2.0) - 1.0),))
+    with pytest.raises(FlowlinError, match="finite"):
+        chart.distance([0.1], [0.2])
+
+
+def test_nan_state_is_infinitely_far():
+    chart = catalog.get("klein_bottle").system.chart
+    d = chart.distances([0.1, 0.2], np.array([[np.nan, 0.2], [0.3, 0.2]]))
+    assert d[0] == np.inf and np.isfinite(d[1])
+
+
+def _scalar_pair_loop_margin(chart, X, lifts):
+    """The O(n^2) loop over single chart distances that diagnose used to run."""
+    margin = np.inf
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            d_state = chart.distance(X[i], X[j])
+            if d_state < 1e-9:
+                continue
+            margin = min(margin, float(np.linalg.norm(lifts[i] - lifts[j])) / d_state)
+    return margin
+
+
+@pytest.mark.parametrize(
+    "system, dict_kind", [("klein_bottle", "fourier:3"), ("annulus_cubic", "custom:polar_fourier_5")]
+)
+def test_lift_injectivity_margin_matches_scalar_pair_loop(system, dict_kind):
+    entry = catalog.get(system)
+    if dict_kind == "fourier:3":
+        dictionary = edmd.fourier_dictionary(entry.system.chart, 3)
+    else:
+        labels, maps = entry.custom_observables["polar_fourier_5"]
+        dictionary = edmd.custom_dictionary(maps, labels)
+    rng = np.random.default_rng(11)
+    train = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 6), 0.1, 300)
+    holdout = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 3), 0.1, 120)
+    model = edmd.fit(dictionary, train)
+    report = edmd.diagnose(model, dictionary, entry.system, holdout)
+    reference = _scalar_pair_loop_margin(
+        entry.system.chart, holdout.X, dictionary.matrix(holdout.X)
+    )
+    assert np.isfinite(reference)
+    assert report["lift_injectivity_margin"] == reference

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from flowlin import catalog
 from flowlin.cli import main
 
 SINGLE_PINCH = {
@@ -56,6 +58,31 @@ def test_verify_exact_log_radial(tmp_path):
     report = read_json(out)
     assert all(c["pass"] for c in report["checks"])
     assert all("threshold" in c for c in report["checks"])
+
+
+def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
+    # NaN at one sampled state only: the Jacobian stays finite while the
+    # injectivity margin becomes NaN, which must count as flagged
+    entry = catalog.get("log_radial")
+    bad = entry.sample_states(np.random.default_rng(0), 200)[0]
+    F = entry.exact_embedding.F
+    patchy = lambda x: np.full(len(F(x)), np.nan) if np.array_equal(x, bad) else F(x)
+    embedding = catalog.ExactEmbedding(patchy, entry.exact_embedding.B)
+    monkeypatch.setitem(
+        catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)
+    )
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--system", "log_radial", "--embedding", "exact",
+                "--samples", "200", "--out", str(out)])
+    assert code == 1
+    (margin,) = [c for c in read_json(out)["checks"] if c["name"] == "injectivity_margin"]
+    assert np.isnan(margin["value"]) and not margin["pass"]
+
+
+def test_reports_record_no_machine_facts(tmp_path):
+    out = tmp_path / "verdict.json"
+    run(["verdict", "--system", "klein_bottle", "--out", str(out)])
+    assert "threads" not in read_json(out)
 
 
 def test_verify_built_annulus_is_config_error(tmp_path):
