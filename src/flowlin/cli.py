@@ -8,6 +8,7 @@ Exit codes: 0 when every requested check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -49,7 +50,8 @@ def _check(name: str, value, threshold, ok: bool) -> dict:
 
 
 def _report(args, checks: list[dict], extra: dict | None = None, elapsed=None) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    # the output path is not configuration: the same run gives the same bytes anywhere
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     report = {
         "tool_version": __version__,
         "config": config,
@@ -162,32 +164,20 @@ def _built_candidate(entry) -> EmbeddingCandidate:
     )
 
 
-def _cmd_verify(args) -> int:
-    start = time.perf_counter()
-    entry = _entry(args.system)
-    rng = np.random.default_rng(args.seed)
-    if args.embedding == "exact":
-        if entry.exact_embedding is None:
-            raise UsageError(f"{entry.name} has no exact embedding")
-        cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
-    else:
-        cand = _built_candidate(entry)
+def _quality_checks(
+    cand, entry, states, options: QualityOptions = QualityOptions()
+) -> tuple[list[dict], dict]:
+    """Injectivity, immersion and, given catalog escape states, properness checks.
 
-    states = entry.sample_states(rng, args.samples)
-    times = [0.0, 0.1, 1.0, float(np.pi), float(args.tmax)]
-    residual = verify_linearization(cand, entry.system, (states, times))
-
-    quality_states = states[: min(len(states), 256)]
-    options = QualityOptions()
+    The floors come from ``options``; returns the checks and the properness probe.
+    """
     if entry.escape_states is not None:
         esc_states, esc_values = entry.escape_states(16)
-        options = QualityOptions(
-            escape_states=tuple(map(tuple, esc_states)), escape_values=tuple(esc_values)
+        options = dataclasses.replace(
+            options, escape_states=tuple(map(tuple, esc_states)), escape_values=tuple(esc_values)
         )
-    quality = verify_embedding_quality(cand, entry.system, quality_states, options)
-
+    quality = verify_embedding_quality(cand, entry.system, states, options)
     checks = [
-        _check("linearization_residual", residual, args.tol, residual <= args.tol),
         _check(
             "injectivity_margin",
             quality.injectivity_margin,
@@ -210,10 +200,33 @@ def _cmd_verify(args) -> int:
                 not quality.properness["flagged"],
             )
         )
+    return checks, quality.properness
+
+
+def _cmd_verify(args) -> int:
+    start = time.perf_counter()
+    entry = _entry(args.system)
+    rng = np.random.default_rng(args.seed)
+    if args.embedding == "exact":
+        if entry.exact_embedding is None:
+            raise UsageError(f"{entry.name} has no exact embedding")
+        cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
+    else:
+        cand = _built_candidate(entry)
+
+    states = entry.sample_states(rng, args.samples)
+    times = [0.0, 0.1, 1.0, float(np.pi), float(args.tmax)]
+    residual = verify_linearization(cand, entry.system, (states, times))
+
+    quality_checks, properness = _quality_checks(cand, entry, states[: min(len(states), 256)])
+    checks = [
+        _check("linearization_residual", residual, args.tol, residual <= args.tol),
+        *quality_checks,
+    ]
     report = _report(
         args,
         checks,
-        {"provenance": cand.provenance, "properness": quality.properness},
+        {"provenance": cand.provenance, "properness": properness},
         time.perf_counter() - start,
     )
     _dump_json(report, args.out)
@@ -255,33 +268,14 @@ def _cmd_build(args) -> int:
 
     grid = catalog.standard_grid(entry, np.random.default_rng(args.seed))
     residual = verify_linearization(cand, entry.system, grid)
-    options = QualityOptions()
-    if entry.escape_states is not None:
-        esc_states, esc_values = entry.escape_states(16)
-        options = QualityOptions(
-            escape_states=tuple(map(tuple, esc_states)), escape_values=tuple(esc_values)
-        )
-    quality = verify_embedding_quality(cand, entry.system, entry.sample_states(rng, 200), options)
-
+    quality_checks, extra["properness"] = _quality_checks(
+        cand, entry, entry.sample_states(rng, 200),
+        QualityOptions(injectivity_floor=1e-3, sigma_floor=1e-3),
+    )
     checks = [
         _check("linearization_residual", residual, 1e-6, residual <= 1e-6),
-        _check(
-            "injectivity_margin", quality.injectivity_margin, 1e-3,
-            quality.injectivity_margin > 1e-3,
-        ),
-        _check(
-            "min_jacobian_sigma", quality.min_jacobian_sigma, 1e-3,
-            quality.min_jacobian_sigma > 1e-3,
-        ),
+        *quality_checks,
     ]
-    if quality.properness["available"]:
-        checks.append(
-            _check(
-                "properness_probe", quality.properness["spearman_rho"], 0.9,
-                not quality.properness["flagged"],
-            )
-        )
-    extra["properness"] = quality.properness
     if "overlap_identity_residual" in extra:
         checks.append(
             _check(
@@ -603,10 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pinch = sub.add_parser("pinched", parents=[common],
                              help="check or plot a pinched torus family")
     p_pinch.add_argument("--spec", required=True, help="JSON spec file")
-    p_pinch.add_argument("--check", action="store_true", help="run the family checks")
+    pinch_mode = p_pinch.add_mutually_exclusive_group(required=True)
+    pinch_mode.add_argument("--check", action="store_true", help="run the family checks")
+    pinch_mode.add_argument("--emit-trajectory", default=None,
+                            help="JSON file with a start point {\"theta\": [...]}")
     p_pinch.add_argument("--samples", type=int, default=200)
-    p_pinch.add_argument("--emit-trajectory", default=None,
-                         help="JSON file with a start point {\"theta\": [...]}")
     p_pinch.add_argument("--tmax", type=float, default=10.0)
     p_pinch.add_argument("--steps", type=int, default=1000)
     p_pinch.set_defaults(func=_cmd_pinched)

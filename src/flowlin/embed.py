@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 import scipy.stats
 
 from .errors import FlowlinError
@@ -58,6 +59,11 @@ class ConditionThreeViolated(FlowlinError):
 
 
 MAX_BRACKET = 100.0
+# V at or below this counts as on the attractor, where the trajectory never
+# crosses the level set; a different scale from IMPACT_TOL by design
+ATTRACTOR_TOL = 1e-14
+# largest |V - c| accepted at a returned impact time
+IMPACT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,33 +94,27 @@ class EmbeddingCandidate:
     provenance: str  # "exact" | "built_topological" | "built_smooth" | "edmd"
 
 
-def impact_time(
-    sys: FlowSystem,
-    V: Callable,
-    c: float,
-    x,
-    bracket: tuple[float, float] = (-1.0, 1.0),
-    tol: float = 1e-10,
-    attractor_tol: float = 1e-14,
-) -> float:
+def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float:
     """Unique time tau with V(Phi^tau(x)) = c, for V strictly decreasing in t.
 
-    Expands the bracket geometrically up to |tau| <= 100, then bisects and
-    polishes with a few Newton steps.  Satisfies the cocycle identity
-    impact_time(Phi^t(x)) = impact_time(x) - t.  ``tol`` bounds |V - c| at
-    the root; ``attractor_tol`` is the separate on-attractor gate (V below
-    it counts as never crossing; these scales differ by orders of magnitude).
+    Doubles a unit start bracket, [0, 1] or [-1, 0] by the sign of V(x) - c,
+    up to |tau| <= 100 (backward, at most to the domain bound sys.t_min(x)),
+    then solves by Brent's method to a bracket width of 1e-14 * (1 + |tau|).
+    Satisfies the cocycle identity impact_time(Phi^t(x)) = impact_time(x) - t.
+    Raises OnAttractor when V(x) <= ATTRACTOR_TOL and BracketFailure when
+    no crossing is bracketed, the solver does not converge, or |V - c| at
+    the root exceeds IMPACT_TOL.
     """
     x = np.asarray(x, dtype=float)
     v0 = float(V(x))
-    if v0 <= attractor_tol:
+    if v0 <= ATTRACTOR_TOL:
         raise OnAttractor(
-            f"V(x) = {v0:.3g} <= {attractor_tol:.0e}, trajectory never crosses the level set"
+            f"V(x) = {v0:.3g} <= {ATTRACTOR_TOL:.0e}, trajectory never crosses the level set"
         )
 
     def g(tau: float) -> float:
         # bracket probes may push the state to the edge of float range, where
-        # V legitimately saturates to inf (still a valid sign for bisection)
+        # V legitimately saturates to inf (still the right sign for the bracket)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return float(V(evolve(sys, x, tau))) - c
 
@@ -123,14 +123,13 @@ def impact_time(
         return 0.0
     # V decreases along the flow, so g is decreasing in tau
     if g0 > 0:
-        lo, hi = 0.0, max(abs(bracket[1]), 1e-3)
+        lo, hi = 0.0, 1.0
         while g(hi) > 0:
             hi *= 2.0
             if hi > MAX_BRACKET:
                 raise BracketFailure(f"no crossing of level {c} within tau <= {MAX_BRACKET}")
     else:
-        hi = 0.0
-        lo = -max(abs(bracket[0]), 1e-3)
+        lo, hi = -1.0, 0.0
         domain = sys.t_min(x)
         while True:
             if np.isfinite(domain) and lo <= domain:
@@ -147,27 +146,14 @@ def impact_time(
                 break
             lo *= 2.0
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(lo), abs(hi)):
-            break
-    tau = 0.5 * (lo + hi)
-
-    step = 1e-6
-    for _ in range(3):
-        val = g(tau)
-        if abs(val) <= 0.1 * tol:
-            break
-        slope = (g(tau + step) - g(tau - step)) / (2 * step)
-        if slope == 0.0:
-            break
-        tau -= val / slope
-    if abs(g(tau)) > tol:
-        raise BracketFailure(f"impact time refinement stalled at |V - c| = {abs(g(tau)):.3g}")
+    tau, result = scipy.optimize.brentq(
+        g, lo, hi, xtol=1e-14, rtol=1e-14, maxiter=200, full_output=True, disp=False
+    )
+    if not result.converged:
+        raise BracketFailure(f"impact time solve did not converge: {result.flag}")
+    residual = abs(g(tau))
+    if not residual <= IMPACT_TOL:
+        raise BracketFailure(f"impact time solve stalled at |V - c| = {residual:.3g}")
     return float(tau)
 
 
@@ -185,14 +171,14 @@ def _check_phase_map(sys, attractor, P, validation_states, tol=1e-8):
 
 
 def _attractor_residual(attractor, F0, B0, times=(0.1, 1.0, 2.0)) -> float:
-    worst = 0.0
+    residuals = []
     for a in attractor.cloud[:25]:
         fa = np.asarray(F0(a), dtype=float)
         for t in times:
             lhs = np.asarray(F0(evolve(attractor.restricted_flow, a, t)), dtype=float)
-            rhs = matrix_exp(B0, t) @ fa
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+            residuals.append(np.linalg.norm(lhs - matrix_exp(B0, t) @ fa))
+    # np.max keeps a NaN residual, so the caller's gate fails on it
+    return float(np.max(residuals, initial=0.0))
 
 
 def build_topological_embedding(
@@ -202,19 +188,17 @@ def build_topological_embedding(
     F0: tuple[Callable, LinearGenerator],
     lyap: LyapunovData,
     validation_states: Sequence,
-    on_attractor_tol: float = 1e-14,
-    impact_tol: float = 1e-10,
 ) -> EmbeddingCandidate:
     """Assemble the basin embedding from phase, attractor embedding, and level data.
 
-    The on-attractor branch absorbs states with V below ``on_attractor_tol``;
-    the neglected decay block is then at most sqrt(on_attractor_tol / level),
+    The on-attractor branch absorbs states with V at or below ATTRACTOR_TOL;
+    the neglected decay block is then at most sqrt(ATTRACTOR_TOL / level),
     which must stay inside the residual budget.
     """
     F0_map, B0 = F0[0], as_generator(F0[1])
     _check_phase_map(sys, attractor, P, validation_states)
     res0 = _attractor_residual(attractor, F0_map, B0)
-    if res0 > 1e-8:
+    if not res0 <= 1e-8:
         raise PhaseMapInvalid(f"F0 fails to linearize the restricted flow: residual {res0:.3g}")
     for a in attractor.cloud[:50]:
         if float(lyap.V(a)) > 1e-12:
@@ -222,18 +206,18 @@ def build_topological_embedding(
 
     V, c, F1, n1 = lyap.V, lyap.level, lyap.level_set_embedding, lyap.sphere_dim
     for x in list(validation_states)[:10]:
-        if float(V(x)) <= on_attractor_tol:
+        if float(V(x)) <= ATTRACTOR_TOL:
             continue
-        hit = evolve(sys, x, impact_time(sys, V, c, x, tol=impact_tol))
+        hit = evolve(sys, x, impact_time(sys, V, c, x))
         norm = float(np.linalg.norm(np.asarray(F1(hit), float)))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"level-set embedding not on the unit sphere: |F1| = {norm}")
 
     def F(x):
         x = np.asarray(x, dtype=float)
-        if float(V(x)) <= on_attractor_tol:
+        if float(V(x)) <= ATTRACTOR_TOL:
             return np.concatenate([np.asarray(F0_map(x), float), np.zeros(n1)])
-        tau = impact_time(sys, V, c, x, tol=impact_tol, attractor_tol=on_attractor_tol)
+        tau = impact_time(sys, V, c, x)
         hit = evolve(sys, x, tau)
         return np.concatenate(
             [np.asarray(F0_map(P(x)), float), np.exp(tau) * np.asarray(F1(hit), float)]
@@ -314,15 +298,16 @@ def build_smooth_embedding(
         raise ConditionThreeViolated(
             f"transverse generator must be strictly stable, max Re = {eig.real.max():.3g}"
         )
-    worst = 0.0
+    residuals = []
     for x in validation_states:
         if not in_U(x):
             continue
         gx = np.asarray(G(x), dtype=float)
         for t in (0.1, 0.5, 1.0):
             lhs = np.asarray(G(evolve(sys, x, t)), dtype=float)
-            worst = max(worst, float(np.linalg.norm(lhs - matrix_exp(B, t) @ gx)))
-    if worst > equivariance_tol:
+            residuals.append(np.linalg.norm(lhs - matrix_exp(B, t) @ gx))
+    worst = float(np.max(residuals, initial=0.0))
+    if not worst <= equivariance_tol:
         raise ConditionThreeViolated(f"G equivariance residual {worst:.3g} > {equivariance_tol:.3g}")
     _kernel_check(attractor, G, fd_step, tangent_tol, transverse_floor)
     _check_phase_map(sys, attractor, P, validation_states)
@@ -349,7 +334,7 @@ def overlap_identity_residual(
 ) -> float:
     """Max disagreement of G(x) and e^{-B tau} G(Phi^tau(x)) on U intersect {V > c}."""
     G, B, in_U = transverse.G, as_generator(transverse.B), transverse.in_U
-    worst = 0.0
+    residuals = []
     for x in states:
         x = np.asarray(x, dtype=float)
         if not (in_U(x) and float(V(x)) > c):
@@ -357,21 +342,22 @@ def overlap_identity_residual(
         tau = impact_time(sys, V, c, x)
         direct = np.asarray(G(x), dtype=float)
         conjugated = matrix_exp(B, -tau) @ np.asarray(G(evolve(sys, x, tau)), dtype=float)
-        worst = max(worst, float(np.linalg.norm(direct - conjugated)))
-    return worst
+        residuals.append(np.linalg.norm(direct - conjugated))
+    return float(np.max(residuals, initial=0.0))
 
 
 def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> float:
     """Max over (states x times) of ||F(Phi^t(x)) - e^{Bt} F(x)||."""
     states, times = grid
-    worst = 0.0
+    residuals = []
     exps = {float(t): matrix_exp(cand.B, float(t)) for t in times}
     for x in states:
         fx = np.asarray(cand.F(x), dtype=float)
         for t in times:
             lhs = np.asarray(cand.F(evolve(sys, x, float(t))), dtype=float)
-            worst = max(worst, float(np.linalg.norm(lhs - exps[float(t)] @ fx)))
-    return worst
+            residuals.append(np.linalg.norm(lhs - exps[float(t)] @ fx))
+    # a NaN residual stays NaN, so a `<= tol` gate on the result fails
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)

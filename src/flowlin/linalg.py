@@ -1,8 +1,7 @@
 """Dense linear-algebra primitives.
 
-Matrix exponentials of flow generators, spectral splitting of a generator
-into its center (purely oscillatory) and stable (decaying) parts, and
-brute-force rational-independence certificates for frequency vectors.
+Matrix exponentials of flow generators and brute-force
+rational-independence certificates for frequency vectors.
 """
 
 from __future__ import annotations
@@ -16,14 +15,6 @@ import scipy.linalg
 from .errors import FlowlinError
 
 
-class PositiveSpectrum(FlowlinError):
-    """The generator has an eigenvalue with positive real part."""
-
-
-class NonSemisimpleCenter(FlowlinError):
-    """The zero-real-part block of the generator has a nilpotent part."""
-
-
 class DimensionTooLarge(FlowlinError):
     """Frequency vector too long for exhaustive relation search."""
 
@@ -32,9 +23,6 @@ class ExpRangeError(FlowlinError):
     """exp(B*t) exceeds the representable floating-point range."""
 
 
-DEFAULT_EIGEN_TOL = 1e-9
-# rank / clustering tolerance for the semisimplicity test of the center block
-SEMISIMPLE_TOL = 1e-8
 # exhaustive search over integer relations is only feasible for short vectors
 MAX_INDEPENDENCE_DIM = 4
 
@@ -79,17 +67,6 @@ class FrequencyVector:
 
 
 @dataclass(frozen=True)
-class SpectralSplit:
-    """Commuting projections onto the center and stable invariant subspaces."""
-
-    center_projection: np.ndarray
-    stable_projection: np.ndarray
-    center_dim: int
-    stable_dim: int
-    eigen_tolerance: float
-
-
-@dataclass(frozen=True)
 class IndependenceResult:
     """Outcome of an integer-relation search up to a coefficient bound.
 
@@ -131,84 +108,6 @@ def matrix_exp(B, t: float) -> np.ndarray:
             f"exp(B*t) overflows for norm(B*t) = {np.linalg.norm(gen.entries * t, 1):.3g}"
         )
     return result
-
-
-def _cluster_eigenvalues(lam: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group eigenvalues whose pairwise distance is below tol (greedy chain)."""
-    order = np.lexsort((lam.imag, lam.real))
-    groups: list[list[int]] = []
-    for idx in order:
-        for g in groups:
-            if any(abs(lam[idx] - lam[j]) <= tol for j in g):
-                g.append(idx)
-                break
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
-
-
-def _check_center_semisimple(T11: np.ndarray, tol: float) -> None:
-    k = T11.shape[0]
-    if k <= 1:
-        return
-    lam = np.linalg.eigvals(T11)
-    scale = max(1.0, np.linalg.norm(T11, 2))
-    for group in _cluster_eigenvalues(lam, tol * scale):
-        mult = len(group)
-        if mult == 1:
-            continue
-        center = lam[group].mean()
-        sv = np.linalg.svd(T11.astype(complex) - center * np.eye(k), compute_uv=False)
-        rank = int(np.sum(sv > tol * scale))
-        # semisimple <=> geometric multiplicity equals algebraic multiplicity
-        if rank > k - mult:
-            raise NonSemisimpleCenter(
-                f"eigenvalue {center:.6g} has algebraic multiplicity {mult} "
-                f"but rank(B_center - lambda I) = {rank} > {k - mult}"
-            )
-
-
-def spectral_split(B, eigen_tolerance: float = DEFAULT_EIGEN_TOL) -> SpectralSplit:
-    """Split the generator into commuting center/stable spectral projections.
-
-    The center projection maps onto the sum of eigenspaces with
-    |Re(lambda)| <= eigen_tolerance, the stable projection onto the
-    generalized eigenspaces with Re(lambda) < -eigen_tolerance.
-    """
-    gen = as_generator(B)
-    A = gen.entries
-    n = gen.dim
-    lam = np.linalg.eigvals(A)
-    worst = float(lam.real.max())
-    if worst > eigen_tolerance:
-        raise PositiveSpectrum(
-            f"eigenvalue with real part {worst:.6g} > tolerance {eigen_tolerance:.3g}"
-        )
-
-    T, Z, k = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: re >= -eigen_tolerance
-    )
-    _check_center_semisimple(T[:k, :k], SEMISIMPLE_TOL)
-
-    if k == 0:
-        P0 = np.zeros((n, n))
-    elif k == n:
-        P0 = np.eye(n)
-    else:
-        # spectral projector of a block-triangular matrix: solve the Sylvester
-        # equation T11 Y - Y T22 = T12, then P = [[I, Y], [0, 0]] in Schur basis
-        Y = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
-        P = np.zeros((n, n))
-        P[:k, :k] = np.eye(k)
-        P[:k, k:] = Y
-        P0 = Z @ P @ Z.T
-    return SpectralSplit(
-        center_projection=P0,
-        stable_projection=np.eye(n) - P0,
-        center_dim=k,
-        stable_dim=n - k,
-        eigen_tolerance=eigen_tolerance,
-    )
 
 
 def _canonical_relation(k: tuple[int, ...]) -> tuple[int, ...]:

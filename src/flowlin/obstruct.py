@@ -271,12 +271,14 @@ def quasiperiodic_factor_certificate(
         raise ValueError("explicit states require explicit times")
 
     torus = torus_angles(n)
-    worst = 0.0
+    residuals = []
     for x, t in zip(states, times):
         lhs = np.asarray(Fmap(evolve(sys, x, float(t))), dtype=float)
         rhs = np.mod(np.asarray(Fmap(np.asarray(x, float)), dtype=float) + w * float(t), 1.0)
-        worst = max(worst, torus.distance(lhs, rhs))
-    if worst > tol:
+        residuals.append(torus.distance(lhs, rhs))
+    worst = float(np.max(residuals, initial=0.0))
+    # a NaN residual refuses the certificate
+    if not worst <= tol:
         return Verdict(
             NO_OBSTRUCTION,
             ("rational_independence", "factor_map_equivariance"),

@@ -216,25 +216,25 @@ def verify_phase_properties(
     (iii) dist(Phi^t(x), Phi^t(P(x))) is eventually non-increasing along t_grid.
     """
     chart = sys.chart
-    idem = 0.0
+    # np.max keeps a NaN violation, so the `<= tol` gates below fail on it
+    idem = []
     for x in samples:
         px = np.asarray(P(x), dtype=float)
-        idem = max(idem, chart.distance(P(px), px))
-    restrict = 0.0
-    for a in attractor_samples:
-        restrict = max(restrict, chart.distance(P(a), a))
+        idem.append(chart.distance(P(px), px))
+    restrict = [chart.distance(P(a), a) for a in attractor_samples]
 
-    equiv = 0.0
+    equiv = []
     decreasing = True
     for x in samples:
         px = np.asarray(P(x), dtype=float)
         gaps = []
         for t in t_grid:
             xt = evolve(sys, x, float(t))
-            equiv = max(equiv, chart.distance(P(xt), evolve(sys, px, float(t))))
+            equiv.append(chart.distance(P(xt), evolve(sys, px, float(t))))
             gaps.append(chart.distance(xt, evolve(sys, px, float(t))))
         tail = gaps[1:]
         if any(tail[i + 1] > tail[i] + tol for i in range(len(tail) - 1)):
             decreasing = False
+    idem, restrict, equiv = (float(np.max(v, initial=0.0)) for v in (idem, restrict, equiv))
     passed = idem <= tol and restrict <= tol and equiv <= tol and decreasing
     return PhaseReport(idem, restrict, equiv, decreasing, passed)

@@ -355,12 +355,13 @@ def verify_family(
     points = sample_points(spec, n_samples, rng)
     B = embedding_generator(spec)
 
-    worst = 0.0
+    residuals = []
     for p in points:
         t = float(rng.uniform(-5.0, 5.0))
         lhs = canonical_embedding(spec, flow(spec, p, t))
         rhs = matrix_exp(B, t) @ canonical_embedding(spec, p)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        residuals.append(np.linalg.norm(lhs - rhs))
+    worst = float(np.max(residuals, initial=0.0))
 
     # quotient consistency: raw representatives that differ only in collapsed
     # coordinates must embed identically (their z_j factors carry rho_j = 0)

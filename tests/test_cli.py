@@ -62,7 +62,8 @@ def test_verify_exact_log_radial(tmp_path):
 
 def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
     # NaN at one sampled state only: the Jacobian stays finite while the
-    # injectivity margin becomes NaN, which must count as flagged
+    # linearization residual and the injectivity margin become NaN, which
+    # must count as failed
     entry = catalog.get("log_radial")
     bad = entry.sample_states(np.random.default_rng(0), 200)[0]
     F = entry.exact_embedding.F
@@ -75,8 +76,9 @@ def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
     code = run(["verify", "--system", "log_radial", "--embedding", "exact",
                 "--samples", "200", "--out", str(out)])
     assert code == 1
-    (margin,) = [c for c in read_json(out)["checks"] if c["name"] == "injectivity_margin"]
-    assert np.isnan(margin["value"]) and not margin["pass"]
+    checks = {c["name"]: c for c in read_json(out)["checks"]}
+    for name in ("linearization_residual", "injectivity_margin"):
+        assert np.isnan(checks[name]["value"]) and not checks[name]["pass"]
 
 
 def test_reports_record_no_machine_facts(tmp_path):
@@ -166,6 +168,12 @@ def test_pinched_check_and_trajectory(tmp_path):
     assert len(lines) == 65
 
 
+def test_pinched_needs_check_or_trajectory(tmp_path):
+    spec_path = tmp_path / "pinch.json"
+    spec_path.write_text(json.dumps(SINGLE_PINCH))
+    assert run(["pinched", "--spec", str(spec_path), "--out", str(tmp_path / "x.json")]) == 2
+
+
 def test_sphere_orbit_latitude_radius(tmp_path):
     out = tmp_path / "sphere.csv"
     z = np.sqrt(0.75)
@@ -202,13 +210,13 @@ def test_edmd_unknown_dictionary(tmp_path):
     ],
 )
 def test_outputs_bitwise_deterministic(tmp_path, args):
-    # identical argv (including --out) run twice must produce identical bytes
-    out = tmp_path / "report.json"
-    full = args + ["--out", str(out)]
-    first_code = run(full)
-    first = out.read_bytes()
-    second_code = run(full)
-    assert (first_code, first) == (second_code, out.read_bytes())
+    # the same argv run twice, into two different --out paths, must produce
+    # identical bytes
+    first, second = tmp_path / "report.json", tmp_path / "elsewhere" / "other.json"
+    second.parent.mkdir()
+    first_code = run(args + ["--out", str(first)])
+    second_code = run(args + ["--out", str(second)])
+    assert (first_code, first.read_bytes()) == (second_code, second.read_bytes())
 
 
 def test_emit_trajectory_requires_state_and_out(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowlin import catalog
+from flowlin import catalog, embed
 from flowlin.embed import (
     BracketFailure,
     ConditionThreeViolated,
@@ -75,6 +77,38 @@ def test_bracket_respects_domain_bound():
     tau = impact_time(entry.system, V, 4.0, [2.0, 0.0])
     assert tau < 0.0
     assert abs(V(evolve(entry.system, [2.0, 0.0], tau)) - 4.0) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["log_radial", "product_attractor"]),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-1.0, 3.0),
+)
+def test_impact_time_root_and_cocycle_properties(name, seed, t):
+    entry = catalog.get(name)
+    V, c = entry.lyapunov.V, entry.lyapunov.level
+    x = entry.sample_states(np.random.default_rng(seed), 1)[0]
+    tau = impact_time(entry.system, V, c, x)
+    assert abs(V(evolve(entry.system, x, tau)) - c) <= 1e-10
+    tau_shifted = impact_time(entry.system, V, c, evolve(entry.system, x, t))
+    assert abs(tau_shifted - (tau - t)) <= 1e-12 * max(1.0, abs(tau))
+
+
+def test_impact_time_evolve_budget(log_radial, monkeypatch):
+    # the bracketed solve must not spend a fixed bisection depth per call
+    calls = []
+
+    def counting_evolve(*args):
+        calls.append(None)
+        return evolve(*args)
+
+    monkeypatch.setattr(embed, "evolve", counting_evolve)
+    V, c = log_radial.lyapunov.V, log_radial.lyapunov.level
+    states = log_radial.sample_states(np.random.default_rng(40), 200)
+    for x in states:
+        impact_time(log_radial.system, V, c, x)
+    assert len(calls) / len(states) <= 20
 
 
 # --- topological builder ---------------------------------------------------------

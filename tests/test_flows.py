@@ -189,6 +189,17 @@ def test_group_law_zero_times_exact():
     assert report.passed
 
 
+def test_group_law_fails_on_nan_closed_form():
+    # a closed form that returns NaN past t = 1 leaves no finite evidence
+    def closed_form(t, x):
+        return np.full(2, np.nan) if t > 1.0 else np.asarray(x, float) + t
+
+    sys = FlowSystem("nan_shift", euclidean(2), closed_form=closed_form)
+    samples = [([0.0, 0.0], 0.2, 0.3), ([1.0, 2.0], 0.9, 0.6)]
+    report = check_group_law(sys, samples, tol=1e-9)
+    assert report.n_checked == 2 and not report.passed
+
+
 def test_group_law_collects_domain_failures():
     entry = catalog.get("annulus_cubic")
     report = check_group_law(entry.system, [([2.0, 0.0], -0.7, 0.0)], tol=1e-9)

@@ -10,11 +10,8 @@ from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
     LinearGenerator,
-    NonSemisimpleCenter,
-    PositiveSpectrum,
     matrix_exp,
     rational_independence,
-    spectral_split,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -103,80 +100,39 @@ def test_generator_validation():
         LinearGenerator(np.array([[np.inf]]))
 
 
-# --- spectral splitting -------------------------------------------------------
-
-
-def test_block_diagonal_split():
-    B = np.zeros((3, 3))
-    B[:2, :2] = ROT
-    B[2, 2] = -1.0
-    split = spectral_split(B)
-    np.testing.assert_allclose(split.center_projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(split.stable_projection, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
-    assert split.center_dim == 2 and split.stable_dim == 1
-
-
-def test_nilpotent_center_rejected():
-    B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    # Jordan-form oracle: B is nilpotent (B^2 = 0, B != 0), so the zero
-    # eigenvalue is defective and no eigenvector splitting exists
-    assert np.allclose(B @ B, 0.0) and not np.allclose(B, 0.0)
-    with pytest.raises(NonSemisimpleCenter):
-        spectral_split(B)
-
-
-def test_positive_spectrum_rejected():
-    with pytest.raises(PositiveSpectrum):
-        spectral_split(np.array([[1.0]]))
-
-
-def test_pure_center_and_pure_stable_splits():
-    split = spectral_split(ROT)
-    np.testing.assert_allclose(split.center_projection, np.eye(2))
-    assert split.stable_dim == 0
-    split = spectral_split(-np.eye(3))
-    np.testing.assert_allclose(split.stable_projection, np.eye(3))
-    assert split.center_dim == 0
+# --- invariant subspaces of attractor generators ----------------------------------
 
 
 def _random_attractor_generator(rng, center_pairs, stable_dim):
-    blocks = []
-    for _ in range(center_pairs):
-        blocks.append(rng.uniform(0.5, 3.0) * ROT)
-    stable = -np.diag(rng.uniform(0.3, 2.0, stable_dim))
+    """Q D Q^T with D = blockdiag(rotations, stable diagonal) and Q orthogonal.
+
+    Returns the generator and its stable spectral projection Q P Q^T, known
+    by construction (P is the coordinate projection onto the stable block).
+    """
     n = 2 * center_pairs + stable_dim
-    B = np.zeros((n, n))
-    i = 0
-    for blk in blocks:
-        B[i : i + 2, i : i + 2] = blk
-        i += 2
-    B[i:, i:] = stable
+    D = np.zeros((n, n))
+    for i in range(0, 2 * center_pairs, 2):
+        D[i : i + 2, i : i + 2] = rng.uniform(0.5, 3.0) * ROT
+    D[2 * center_pairs :, 2 * center_pairs :] = -np.diag(rng.uniform(0.3, 2.0, stable_dim))
+    P = np.diag([0.0] * (2 * center_pairs) + [1.0] * stable_dim)
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    return Q @ B @ Q.T
+    return Q @ D @ Q.T, Q @ P @ Q.T
 
 
 def test_split_invariants_on_random_generators():
+    # exp(Bt) preserves the center and stable subspaces of the generator
     rng = np.random.default_rng(11)
     for _ in range(10):
-        B = _random_attractor_generator(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        split = spectral_split(B)
-        P0, Pm = split.center_projection, split.stable_projection
-        n = B.shape[0]
-        norm_B = np.linalg.norm(B, 2)
-        assert np.abs(P0 + Pm - np.eye(n)).max() <= 1e-10
-        assert np.abs(P0 @ P0 - P0).max() <= 1e-10
-        assert np.abs(Pm @ Pm - Pm).max() <= 1e-10
-        assert np.abs(P0 @ B - B @ P0).max() <= 1e-10 * max(1.0, norm_B)
+        B, Pm = _random_attractor_generator(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         for t in (0.3, 1.7, 6.0):
             E = matrix_exp(B, t)
-            assert np.abs(E @ P0 - P0 @ E).max() <= 1e-9
+            assert np.abs(E @ Pm - Pm @ E).max() <= 1e-9
 
 
 def test_stable_component_decays_monotonically():
     rng = np.random.default_rng(13)
-    B = _random_attractor_generator(rng, 1, 2)
-    split = spectral_split(B)
-    x = split.stable_projection @ rng.normal(size=B.shape[0])
+    B, Pm = _random_attractor_generator(rng, 1, 2)
+    x = Pm @ rng.normal(size=B.shape[0])
     norms = [np.linalg.norm(matrix_exp(B, t) @ x) for t in np.linspace(0.5, 8.0, 16)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
