@@ -601,10 +601,10 @@ def get(name: str) -> CatalogEntry:
     return _CACHE[name]
 
 
-def standard_grid(entry: CatalogEntry, rng=None, n_states: int = 20, times=STANDARD_TIMES):
-    """The default verification grid: seeded random states x fixed times."""
+def standard_grid(entry: CatalogEntry, rng=None):
+    """The default verification grid: 20 seeded random states x STANDARD_TIMES."""
     rng = rng or np.random.default_rng(0)
-    return entry.sample_states(rng, n_states), list(times)
+    return entry.sample_states(rng, 20), list(STANDARD_TIMES)
 
 
 @dataclass(frozen=True)

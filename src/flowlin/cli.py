@@ -453,8 +453,8 @@ def _cmd_pinched(args) -> int:
     family = pinched.verify_family(spec, n_samples=args.samples, rng=rng)
     checks = [
         _check(
-            "linearity_residual", family.max_linearity_residual, 1e-10,
-            family.max_linearity_residual <= 1e-10,
+            "linearity_residual", family.max_linearity_residual, pinched.LINEARITY_TOL,
+            family.max_linearity_residual <= pinched.LINEARITY_TOL,
         ),
         _check("quotient_consistency", family.quotient_consistent, True,
                family.quotient_consistent),

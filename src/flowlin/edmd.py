@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import FlowlinError
 from .flows import ChartDescriptor, FlowSystem, evolve
-from .phase import ClassifierThresholds, GeometricSchedule, estimate_phase
+from .phase import GeometricSchedule, estimate_phase
 
 __all__ = [
     "Dictionary",
@@ -39,6 +39,8 @@ class RankDeficient(FlowlinError):
 
 
 GRAM_CONDITION_LIMIT = 1e14
+# horizons of the phase-divergence certificate attached to NotLinearizable entries
+DIVERGENCE_SCHEDULE = GeometricSchedule(1.0, 2.0, 12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +60,15 @@ class Dictionary:
         return np.array([self.evaluate(x) for x in np.asarray(states, float)])
 
 
-def fourier_dictionary(chart: ChartDescriptor, degree: int, angle_coords=None) -> Dictionary:
-    """Per-coordinate harmonics cos/sin(2 pi k x_i / period), k = 1..degree."""
-    if angle_coords is None:
-        angle_coords = [i for i, p in enumerate(chart.wraps) if p is not None]
-    angle_coords = list(angle_coords)
+def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:
+    """Harmonics cos/sin(2 pi k x_i / period), k = 1..degree, of every angle coordinate."""
+    angle_coords = [i for i, p in enumerate(chart.wraps) if p is not None]
     if not angle_coords:
         raise ValueError("fourier dictionary needs at least one angle coordinate")
     terms = []
     labels = []
     for i in angle_coords:
-        period = chart.wraps[i] or 1.0
+        period = chart.wraps[i]
         for k in range(1, degree + 1):
             terms.append((i, 2.0 * np.pi * k / period))
             labels.append(f"cos({k}*x{i + 1})")
@@ -203,29 +203,22 @@ def diagnose(
     sys: FlowSystem,
     holdout: SnapshotSet,
     entry=None,
-    schedule: GeometricSchedule | None = None,
-    thresholds: ClassifierThresholds = ClassifierThresholds(),
 ) -> dict:
     """Holdout residual, lift injectivity, spectrum location, failure labeling.
 
+    The lift injectivity margin is ``sys.chart.injectivity_margin`` of the
+    holdout states and their dictionary lifts; it is reported as None when
+    it is not finite (NaN lifts, or no pair of distinct holdout states).
     When the catalog entry is known NotLinearizable, the phase module's
-    divergence certificate is attached and the residual floor labeled
-    EXPECTED; the label is never inferred from the residual magnitude alone.
+    divergence certificate over DIVERGENCE_SCHEDULE is attached and the
+    residual floor labeled EXPECTED; the label is never inferred from the
+    residual magnitude alone.
     """
     PX = dictionary.matrix(holdout.X).T
     PY = dictionary.matrix(holdout.Y).T
     holdout_residual = _residual(model.K, PX, PY)
 
-    # lift injectivity: min over holdout pairs of lift distance over chart
-    # distance, one row of pairs at a time; NaN ratios are skipped
-    lifts = PX.T
-    margin = np.inf
-    for i in range(len(holdout.X)):
-        d_state = sys.chart.distances(holdout.X[i], holdout.X[i + 1 :])
-        apart = d_state >= 1e-9
-        diff = lifts[i] - lifts[i + 1 :][apart]
-        ratios = np.sqrt(np.vecdot(diff, diff)) / d_state[apart]
-        margin = min(margin, float(np.fmin.reduce(ratios, initial=np.inf)))
+    margin = sys.chart.injectivity_margin(holdout.X, PX.T)
     on_circle = np.abs(np.abs(model.spectrum) - 1.0) < 1e-6
 
     report = {
@@ -237,9 +230,8 @@ def diagnose(
     }
 
     if entry is not None and entry.expected_verdict.kind == "not_linearizable":
-        schedule = schedule or GeometricSchedule(1.0, 2.0, 12)
         probe = np.asarray(holdout.X[0], float)
-        estimate = estimate_phase(sys, entry.attractor, probe, schedule, thresholds)
+        estimate = estimate_phase(sys, entry.attractor, probe, DIVERGENCE_SCHEDULE)
         report["phase_divergence_certificate"] = {
             "classification": estimate.classification.kind,
             "probe_state": [float(v) for v in probe],

@@ -64,6 +64,14 @@ MAX_BRACKET = 100.0
 ATTRACTOR_TOL = 1e-14
 # largest |V - c| accepted at a returned impact time
 IMPACT_TOL = 1e-10
+# step of the central-difference Jacobians
+FD_STEP = 1e-5
+# largest G(Phi^t x) - e^{Bt} G(x) residual the smooth builder accepts on U
+EQUIVARIANCE_TOL = 1e-8
+# largest |dG v| along the flow direction at the attractor
+TANGENT_TOL = 1e-5
+# smallest |dG v| along a direction transverse to the attractor
+TRANSVERSE_FLOOR = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +99,7 @@ class EmbeddingCandidate:
 
     F: Callable
     B: LinearGenerator
-    provenance: str  # "exact" | "built_topological" | "built_smooth" | "edmd"
+    provenance: str  # "exact" | "built_topological" | "built_smooth" | "edmd" | "supplied"
 
 
 def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float:
@@ -170,17 +178,6 @@ def _check_phase_map(sys, attractor, P, validation_states, tol=1e-8):
         )
 
 
-def _attractor_residual(attractor, F0, B0, times=(0.1, 1.0, 2.0)) -> float:
-    residuals = []
-    for a in attractor.cloud[:25]:
-        fa = np.asarray(F0(a), dtype=float)
-        for t in times:
-            lhs = np.asarray(F0(evolve(attractor.restricted_flow, a, t)), dtype=float)
-            residuals.append(np.linalg.norm(lhs - matrix_exp(B0, t) @ fa))
-    # np.max keeps a NaN residual, so the caller's gate fails on it
-    return float(np.max(residuals, initial=0.0))
-
-
 def build_topological_embedding(
     sys: FlowSystem,
     attractor: AttractorModel,
@@ -197,7 +194,11 @@ def build_topological_embedding(
     """
     F0_map, B0 = F0[0], as_generator(F0[1])
     _check_phase_map(sys, attractor, P, validation_states)
-    res0 = _attractor_residual(attractor, F0_map, B0)
+    res0 = verify_linearization(
+        EmbeddingCandidate(F0_map, B0, "supplied"),
+        attractor.restricted_flow,
+        (attractor.cloud[:25], (0.1, 1.0, 2.0)),
+    )
     if not res0 <= 1e-8:
         raise PhaseMapInvalid(f"F0 fails to linearize the restricted flow: residual {res0:.3g}")
     for a in attractor.cloud[:50]:
@@ -243,17 +244,20 @@ class TransverseData:
     in_U: Callable
 
 
-def _kernel_check(attractor, G, fd_step, tangent_tol, transverse_floor):
+def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of f at x with step FD_STEP, one column per coordinate."""
+    columns = []
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = FD_STEP
+        columns.append((np.asarray(f(x + e), float) - np.asarray(f(x - e), float)) / (2 * FD_STEP))
+    return np.column_stack(columns)
+
+
+def _kernel_check(attractor, G):
     """Tangent directions must be annihilated by dG at the attractor; transverse not."""
-    chart = attractor.restricted_flow.chart
     for a in attractor.cloud[:50]:
-        a = np.asarray(a, dtype=float)
-        dim = len(a)
-        J = np.empty((len(np.atleast_1d(G(a))), dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = fd_step
-            J[:, i] = (np.asarray(G(a + e), float) - np.asarray(G(a - e), float)) / (2 * fd_step)
+        J = _fd_jacobian(G, a)
         delta = 1e-4
         fwd = evolve(attractor.restricted_flow, a, delta)
         bwd = evolve(attractor.restricted_flow, a, -delta)
@@ -262,14 +266,14 @@ def _kernel_check(attractor, G, fd_step, tangent_tol, transverse_floor):
         if norm < 1e-12:
             continue
         tangent /= norm
-        if np.linalg.norm(J @ tangent) > tangent_tol:
+        if np.linalg.norm(J @ tangent) > TANGENT_TOL:
             raise ConditionThreeViolated(
                 f"tangent direction not annihilated: |dG v| = {np.linalg.norm(J @ tangent):.3g}"
             )
         # orthonormal complement of the tangent line within the chart
         basis = scipy.linalg.null_space(tangent[None, :])
         for col in basis.T:
-            if np.linalg.norm(J @ col) < transverse_floor:
+            if np.linalg.norm(J @ col) < TRANSVERSE_FLOOR:
                 raise ConditionThreeViolated(
                     f"transverse direction annihilated: |dG v| = {np.linalg.norm(J @ col):.3g}"
                 )
@@ -284,10 +288,6 @@ def build_smooth_embedding(
     V: Callable,
     c: float,
     validation_states: Sequence,
-    equivariance_tol: float = 1e-8,
-    fd_step: float = 1e-5,
-    tangent_tol: float = 1e-5,
-    transverse_floor: float = 1e-2,
 ) -> EmbeddingCandidate:
     """Assemble the smooth basin embedding (F1A o P, G-conjugated impact map)."""
     F1A_map, B1 = F1A[0], as_generator(F1A[1])
@@ -298,18 +298,16 @@ def build_smooth_embedding(
         raise ConditionThreeViolated(
             f"transverse generator must be strictly stable, max Re = {eig.real.max():.3g}"
         )
-    residuals = []
-    for x in validation_states:
-        if not in_U(x):
-            continue
-        gx = np.asarray(G(x), dtype=float)
-        for t in (0.1, 0.5, 1.0):
-            lhs = np.asarray(G(evolve(sys, x, t)), dtype=float)
-            residuals.append(np.linalg.norm(lhs - matrix_exp(B, t) @ gx))
-    worst = float(np.max(residuals, initial=0.0))
-    if not worst <= equivariance_tol:
-        raise ConditionThreeViolated(f"G equivariance residual {worst:.3g} > {equivariance_tol:.3g}")
-    _kernel_check(attractor, G, fd_step, tangent_tol, transverse_floor)
+    worst = verify_linearization(
+        EmbeddingCandidate(G, B, "supplied"),
+        sys,
+        ([x for x in validation_states if in_U(x)], (0.1, 0.5, 1.0)),
+    )
+    if not worst <= EQUIVARIANCE_TOL:
+        raise ConditionThreeViolated(
+            f"G equivariance residual {worst:.3g} > {EQUIVARIANCE_TOL:.3g}"
+        )
+    _kernel_check(attractor, G)
     _check_phase_map(sys, attractor, P, validation_states)
 
     def F0(x):
@@ -362,10 +360,8 @@ def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> flo
 
 @dataclass(frozen=True)
 class QualityOptions:
-    fd_step: float = 1e-5
     sigma_floor: float = 1e-6
     injectivity_floor: float = 1e-6
-    pair_distance_cutoff: float = 1e-9
     escape_states: tuple = ()
     escape_values: tuple = ()
 
@@ -387,31 +383,20 @@ def verify_embedding_quality(
 ) -> QualityReport:
     """Sampled injectivity margin, immersion rank, and properness probe.
 
-    The injectivity margin is min over sampled pairs of image distance over
-    chart distance; quotient-identified pairs have chart distance ~0 and are
-    excluded by the cutoff.  Properness is a probe, never a certificate.
+    The injectivity margin is ``sys.chart.injectivity_margin`` of the sampled
+    states and their images: quotient-identified pairs are skipped, a NaN
+    image gives a NaN margin and a single state gives NaN (no evidence), and
+    either is flagged.  The smallest singular value comes from a
+    central-difference Jacobian with step FD_STEP at every state.
+    Properness is a probe, never a certificate.
     """
     states = np.asarray(states, dtype=float)
     images = np.array([np.asarray(cand.F(x), dtype=float) for x in states])
-
-    state_d = sys.chart.pairwise_distances(states)
-    image_d = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=-1)
-    iu = np.triu_indices(len(states), k=1)
-    mask = state_d[iu] > options.pair_distance_cutoff
-    ratios = image_d[iu][mask] / state_d[iu][mask]
-    margin = float(ratios.min()) if ratios.size else 0.0
+    margin = sys.chart.injectivity_margin(states, images)
 
     sigma_min = np.inf
-    h = options.fd_step
-    dim = states.shape[1]
     for x in states:
-        J = np.empty((images.shape[1], dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            J[:, i] = (
-                np.asarray(cand.F(x + e), float) - np.asarray(cand.F(x - e), float)
-            ) / (2 * h)
+        J = _fd_jacobian(cand.F, x)
         sigma_min = float(np.minimum(sigma_min, np.linalg.svd(J, compute_uv=False)[-1]))
 
     properness = {"available": False}

@@ -41,6 +41,9 @@ class TimeOutOfDomain(FlowlinError):
 
 
 ORBIT_LIMIT = 64  # largest identification group a chart may generate
+# pairs at or below this chart distance are one point of the quotient, so
+# they carry no injectivity evidence
+PAIR_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +144,25 @@ class ChartDescriptor:
         """All-pairs chart distance for an (N, dim) array of states, row by row."""
         X = np.asarray(states, float)
         return np.array([self.distances(x, X) for x in X]).reshape(len(X), len(X))
+
+    def injectivity_margin(self, states, images) -> float:
+        """Min over pairs of states of image distance over chart distance.
+
+        ``images`` holds one row per row of ``states``.  Pairs at chart
+        distance <= PAIR_CUTOFF are skipped.  A NaN ratio is kept, so NaN
+        evidence gives a NaN margin, and with no pair left the margin is NaN
+        too: no evidence of injectivity.
+        """
+        X = np.atleast_2d(np.asarray(states, dtype=float))
+        Y = np.asarray(images, dtype=float)
+        ratios = [np.empty(0)]
+        for i in range(len(X) - 1):
+            d_state = self.distances(X[i], X[i + 1 :])
+            apart = d_state > PAIR_CUTOFF
+            diff = Y[i] - Y[i + 1 :][apart]
+            ratios.append(np.sqrt(np.vecdot(diff, diff)) / d_state[apart])
+        ratios = np.concatenate(ratios)
+        return float(ratios.min()) if ratios.size else np.nan
 
 
 def euclidean(n: int) -> ChartDescriptor:

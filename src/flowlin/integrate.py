@@ -3,8 +3,8 @@
 The fifth-order solution is propagated; the embedded fourth-order solution
 supplies the local error estimate.  Dense output uses the pair's standard
 quartic interpolant, whose error tracks the step error (a cubic Hermite
-interpolant is one order short of the 1e-8 grid-agreement contract at the
-default tolerances).  A ``fixed_step`` setting disables the controller,
+interpolant is one order short of the 1e-8 grid-agreement contract at
+ABS_TOL and REL_TOL).  A ``fixed_step`` setting disables the controller,
 which is what the order-of-convergence checks use.
 """
 
@@ -53,14 +53,13 @@ _P = np.array(
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# error tolerances of the step controller
+ABS_TOL = 1e-10
+REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_step: float = np.inf
-    first_step: float | None = None
     max_steps: int = 1_000_000
     fixed_step: float | None = None
 
@@ -99,14 +98,12 @@ def _rk_step(f, x, h):
     return x_new, err, k
 
 
-def _initial_step(f, x0, t_span, settings):
-    if settings.first_step is not None:
-        return settings.first_step
-    scale = settings.abs_tol + settings.rel_tol * np.abs(x0)
+def _initial_step(f, x0, t_span):
+    scale = ABS_TOL + REL_TOL * np.abs(x0)
     d0 = np.linalg.norm(x0 / scale) / np.sqrt(len(x0))
     d1 = np.linalg.norm(f(x0) / scale) / np.sqrt(len(x0))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    return min(h, abs(t_span), settings.max_step)
+    return min(h, abs(t_span))
 
 
 def integrate(f, x0, t0: float, t1: float, settings: IntegratorSettings) -> DenseOutput:
@@ -123,7 +120,7 @@ def integrate(f, x0, t0: float, t1: float, settings: IntegratorSettings) -> Dens
     if settings.fixed_step is not None:
         h_signed = direction * abs(settings.fixed_step)
     else:
-        h_signed = direction * _initial_step(f, x, t1 - t0, settings)
+        h_signed = direction * _initial_step(f, x, t1 - t0)
 
     ts = [t0]
     xs = [x.copy()]
@@ -149,16 +146,14 @@ def integrate(f, x0, t0: float, t1: float, settings: IntegratorSettings) -> Dens
             continue
 
         if settings.fixed_step is None:
-            scale = settings.abs_tol + settings.rel_tol * np.maximum(
-                np.abs(x), np.abs(x_new)
-            )
+            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
             err_norm = np.linalg.norm(err / scale) / np.sqrt(len(x))
             if err_norm > 1.0:
                 h_signed = h * max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
                 continue
             factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** (-0.2)
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            h_signed = direction * min(abs(h) * factor, settings.max_step)
+            h_signed = direction * abs(h) * factor
 
         coeffs.append(k.T @ _P)
         t = t + h

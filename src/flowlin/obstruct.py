@@ -10,7 +10,7 @@ engine never upgrades "no obstruction found" to a guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -233,15 +233,13 @@ def quasiperiodic_factor_certificate(
     n_samples: int = 100,
     tol: float = 1e-9,
     rng: np.random.Generator | None = None,
-    states: Sequence | None = None,
-    times: Sequence[float] | None = None,
 ) -> Verdict:
     """Grant a linearizability certificate from a verified torus factor map.
 
     Requires rationally independent frequencies (up to max_coeff) and
-    Fmap(Phi^t(x)) = omega*t + Fmap(x) mod 1 on the sampled (x, t) pairs.
-    The certificate is explicitly relative to the coefficient bound and the
-    sample set.
+    Fmap(Phi^t(x)) = omega*t + Fmap(x) mod 1 on n_samples uniform states of
+    the torus chart and times in [-10, 10].  The certificate is explicitly
+    relative to the coefficient bound and the sample set.
     """
     w = as_frequency_vector(omega).omega
     n = len(w)
@@ -249,7 +247,7 @@ def quasiperiodic_factor_certificate(
         raise DimensionMismatch(
             f"system dimension {sys.chart.dim} != frequency vector length {n}"
         )
-    if n_samples < 100 and states is None:
+    if n_samples < 100:
         raise ValueError("certificate needs at least 100 sample pairs")
 
     indep = rational_independence(w, max_coeff, tol)
@@ -260,15 +258,12 @@ def quasiperiodic_factor_certificate(
             reason=f"refused: rational dependence {indep.relation}",
         )
 
-    if states is None:
-        rng = rng or np.random.default_rng(0)
-        if any(p is None for p in sys.chart.wraps):
-            raise ValueError("automatic sampling requires a fully wrapped (torus) chart")
-        periods = np.array(sys.chart.wraps, dtype=float)
-        states = rng.random((n_samples, n)) * periods
-        times = rng.uniform(-10.0, 10.0, n_samples)
-    elif times is None:
-        raise ValueError("explicit states require explicit times")
+    rng = rng or np.random.default_rng(0)
+    if any(p is None for p in sys.chart.wraps):
+        raise ValueError("the certificate samples a fully wrapped (torus) chart")
+    periods = np.array(sys.chart.wraps, dtype=float)
+    states = rng.random((n_samples, n)) * periods
+    times = rng.uniform(-10.0, 10.0, n_samples)
 
     torus = torus_angles(n)
     residuals = []

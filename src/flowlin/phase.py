@@ -21,7 +21,6 @@ __all__ = [
     "AttractorModel",
     "GeometricSchedule",
     "PhaseEstimate",
-    "ClassifierThresholds",
     "EmptyAttractor",
     "estimate_phase",
     "verify_phase_properties",
@@ -100,23 +99,18 @@ class GeometricSchedule:
         return [self.t0 * self.ratio**k for k in range(self.count)]
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Convergence/divergence decision thresholds.
-
-    ``ratio_floor`` treats gaps below it as converged-scale regardless of the
-    gap ratio: near machine precision the successive-gap ratio is noise.
-    ``diverge_floor`` marks sequences whose tail gaps stay above an absolute
-    margin as divergent even when chart distances fold on a compact attractor
-    (unbounded drift reduced mod the attractor diameter is not monotone).
-    """
-
-    converge_tol: float = 1e-6
-    converge_ratio: float = 0.7
-    ratio_floor: float = 1e-10
-    diverge_gap_factor: float = 10.0
-    diverge_monotone_run: int = 4
-    diverge_floor: float = 1e-3
+# convergence/divergence decision thresholds of the phase classifier
+CONVERGE_TOL = 1e-6
+CONVERGE_RATIO = 0.7
+# gaps below this count as converged-scale whatever the gap ratio: near
+# machine precision the successive-gap ratio is noise
+RATIO_FLOOR = 1e-10
+DIVERGE_GAP_FACTOR = 10.0
+DIVERGE_MONOTONE_RUN = 4
+# tail gaps that stay above this absolute margin mark divergence even when
+# chart distances fold on a compact attractor (unbounded drift reduced mod
+# the attractor diameter is not monotone)
+DIVERGE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,11 @@ class PhaseEstimate:
     classification: Classification
 
 
-def _gap_ok(g_next: float, g_prev: float, th: ClassifierThresholds) -> bool:
-    return g_next <= th.converge_ratio * g_prev or g_next < th.ratio_floor
+def _gap_ok(g_next: float, g_prev: float) -> bool:
+    return g_next <= CONVERGE_RATIO * g_prev or g_next < RATIO_FLOOR
 
 
-def _classify(chart, estimates: np.ndarray, th: ClassifierThresholds) -> Classification:
+def _classify(chart, estimates: np.ndarray) -> Classification:
     gaps = np.array(
         [chart.distance(estimates[i + 1], estimates[i]) for i in range(len(estimates) - 1)]
     )
@@ -149,22 +143,22 @@ def _classify(chart, estimates: np.ndarray, th: ClassifierThresholds) -> Classif
     }
     if len(gaps) >= 3:
         last3 = gaps[-3:]
-        if np.all(last3 < th.converge_tol) and all(
-            _gap_ok(gaps[i + 1], gaps[i], th) for i in range(len(gaps) - 3, len(gaps) - 1)
+        if np.all(last3 < CONVERGE_TOL) and all(
+            _gap_ok(gaps[i + 1], gaps[i]) for i in range(len(gaps) - 3, len(gaps) - 1)
         ):
             positive = gaps[gaps > 0]
             rate = float(np.exp(np.mean(np.diff(np.log(positive))))) if len(positive) >= 2 else 0.0
             return Classification("converged", limit=estimates[-1], rate=rate, drift=drift)
 
         first = gaps[0]
-        big_tail = first > 0 and np.all(last3 > th.diverge_gap_factor * first)
+        big_tail = first > 0 and np.all(last3 > DIVERGE_GAP_FACTOR * first)
         run = 1
         longest = 1
         for i in range(1, len(gaps)):
             run = run + 1 if gaps[i] > gaps[i - 1] else 1
             longest = max(longest, run)
-        monotone = longest >= th.diverge_monotone_run
-        above_floor = np.all(last3 > th.diverge_floor)
+        monotone = longest >= DIVERGE_MONOTONE_RUN
+        above_floor = np.all(last3 > DIVERGE_FLOOR)
         if big_tail or monotone or above_floor:
             drift["diverged_by"] = (
                 "gap_factor" if big_tail else ("monotone_growth" if monotone else "gap_floor")
@@ -178,7 +172,6 @@ def estimate_phase(
     attractor: AttractorModel,
     x,
     schedule: GeometricSchedule,
-    thresholds: ClassifierThresholds = ClassifierThresholds(),
 ) -> PhaseEstimate:
     """Estimate the asymptotic phase of a basin point over geometric horizons."""
     x = np.asarray(x, dtype=float)
@@ -188,7 +181,7 @@ def estimate_phase(
         on_attractor = attractor.nearest_point(forward)
         estimates.append(evolve(attractor.restricted_flow, on_attractor, -T))
     estimates = np.array(estimates)
-    classification = _classify(sys.chart, estimates, thresholds)
+    classification = _classify(sys.chart, estimates)
     return PhaseEstimate(tuple(schedule.horizons), estimates, classification)
 
 

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# largest accepted ||F(Phi^t p) - e^{Bt} F(p)|| of the canonical embedding
+LINEARITY_TOL = 1e-10
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -346,7 +348,6 @@ def verify_family(
     spec: PinchedTorusSpec,
     n_samples: int = 200,
     rng=None,
-    linearity_tol: float = 1e-10,
 ) -> FamilyReport:
     """Sampled checks: exact flow linearity, quotient well-definedness, separation."""
     if n_samples < 100:
@@ -405,13 +406,13 @@ def verify_family(
         )
         diff = flat[i] - flat[window][~same]
         sep = np.sqrt(np.vecdot(diff, diff))
-        min_sep = min(min_sep, float(sep.min(initial=np.inf)))
+        # np.min keeps a NaN separation, so the `> 0` gate below fails on it
+        min_sep = float(np.min(sep, initial=min_sep))
         dist = torus.distances(thetas[i], thetas[window][~same])
-        ratios = sep[dist > 1e-12] / dist[dist > 1e-12]
-        min_ratio = min(min_ratio, float(ratios.min(initial=np.inf)))
+        min_ratio = float(np.min(sep[dist > 1e-12] / dist[dist > 1e-12], initial=min_ratio))
 
     radius = float(np.max(np.linalg.norm(embeds.reshape(len(points), -1, 2), axis=2)))
-    passed = worst <= linearity_tol and consistent and min_sep > 0.0
+    passed = worst <= LINEARITY_TOL and consistent and min_sep > 0.0
     return FamilyReport(worst, consistent, min_sep, min_ratio, radius, len(points), passed)
 
 

@@ -1,6 +1,7 @@
 """One chart distance: scalar, one-to-many and all-pairs paths agree bit for bit,
-quotient orbits are closed over every word in the generators, and the
-row-wise EDMD injectivity scan matches the scalar pair loop it replaced."""
+quotient orbits are closed over every word in the generators, and the one
+injectivity margin, behind both the EDMD lift scan and the embedding quality
+check, matches the scalar pair loop it replaced."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlin import catalog, edmd
+from flowlin.embed import EmbeddingCandidate, verify_embedding_quality
 from flowlin.errors import FlowlinError
 from flowlin.flows import torus_angles
 
@@ -93,23 +95,49 @@ def _scalar_pair_loop_margin(chart, X, lifts):
     return margin
 
 
+def _exact_candidate(entry):
+    return EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
+
+
 @pytest.mark.parametrize(
-    "system, dict_kind", [("klein_bottle", "fourier:3"), ("annulus_cubic", "custom:polar_fourier_5")]
+    "system, dict_kind",
+    [("klein_bottle", "fourier:3"), ("annulus_cubic", "custom:polar_fourier_5"),
+     ("klein_bottle", "embed")],
 )
 def test_lift_injectivity_margin_matches_scalar_pair_loop(system, dict_kind):
     entry = catalog.get(system)
-    if dict_kind == "fourier:3":
-        dictionary = edmd.fourier_dictionary(entry.system.chart, 3)
-    else:
-        labels, maps = entry.custom_observables["polar_fourier_5"]
-        dictionary = edmd.custom_dictionary(maps, labels)
     rng = np.random.default_rng(11)
-    train = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 6), 0.1, 300)
-    holdout = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 3), 0.1, 120)
-    model = edmd.fit(dictionary, train)
-    report = edmd.diagnose(model, dictionary, entry.system, holdout)
-    reference = _scalar_pair_loop_margin(
-        entry.system.chart, holdout.X, dictionary.matrix(holdout.X)
-    )
+    if dict_kind == "embed":
+        states = entry.sample_states(rng, 120)
+        images = np.array([entry.exact_embedding.F(x) for x in states])
+        quality = verify_embedding_quality(_exact_candidate(entry), entry.system, states)
+        margin = quality.injectivity_margin
+    else:
+        if dict_kind == "fourier:3":
+            dictionary = edmd.fourier_dictionary(entry.system.chart, 3)
+        else:
+            labels, maps = entry.custom_observables["polar_fourier_5"]
+            dictionary = edmd.custom_dictionary(maps, labels)
+        train = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 6), 0.1, 300)
+        holdout = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 3), 0.1, 120)
+        model = edmd.fit(dictionary, train)
+        margin = edmd.diagnose(model, dictionary, entry.system, holdout)["lift_injectivity_margin"]
+        states, images = holdout.X, dictionary.matrix(holdout.X)
+    reference = _scalar_pair_loop_margin(entry.system.chart, states, images)
     assert np.isfinite(reference)
-    assert report["lift_injectivity_margin"] == reference
+    assert margin == reference
+
+
+def test_nan_image_row_gives_nan_margin():
+    entry = catalog.get("klein_bottle")
+    states = entry.sample_states(np.random.default_rng(12), 30)
+    images = np.array([entry.exact_embedding.F(x) for x in states])
+    images[17] = np.nan
+    assert np.isnan(entry.system.chart.injectivity_margin(states, images))
+
+
+def test_single_state_margin_is_no_evidence():
+    entry = catalog.get("klein_bottle")
+    states = entry.sample_states(np.random.default_rng(13), 1)
+    report = verify_embedding_quality(_exact_candidate(entry), entry.system, states)
+    assert np.isnan(report.injectivity_margin) and report.injectivity_flagged

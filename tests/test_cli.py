@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flowlin import catalog
+from flowlin import catalog, pinched
 from flowlin.cli import main
 
 SINGLE_PINCH = {
@@ -79,6 +79,28 @@ def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in read_json(out)["checks"]}
     for name in ("linearization_residual", "injectivity_margin"):
         assert np.isnan(checks[name]["value"]) and not checks[name]["pass"]
+
+
+def test_pinched_nan_separation_fails(tmp_path, monkeypatch):
+    # NaN embedding on a band of the first angle: the separation scan must
+    # keep the NaN instead of stepping over it
+    canonical = pinched.canonical_embedding
+
+    def patchy(spec, p):
+        out = canonical(spec, p)
+        return np.full_like(out, np.nan) if p.theta[0] < 0.05 else out
+
+    monkeypatch.setattr(pinched, "canonical_embedding", patchy)
+    spec_path = tmp_path / "single.json"
+    spec_path.write_text(json.dumps(SINGLE_PINCH))
+    family = pinched.verify_family(pinched.load_spec(spec_path), rng=np.random.default_rng(0))
+    assert np.isnan(family.min_separation) and not family.passed
+    out = tmp_path / "pinched.json"
+    code = run(["pinched", "--spec", str(spec_path), "--check", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in read_json(out)["checks"]}
+    assert np.isnan(checks["separation_margin"]["value"])
+    assert not checks["separation_margin"]["pass"]
 
 
 def test_reports_record_no_machine_facts(tmp_path):
