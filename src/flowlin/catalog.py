@@ -22,6 +22,7 @@ from .flows import (
     FlowSystem,
     euclidean,
     evolve,
+    join_coords,
     polar_annulus,
     product,
     torus_angles,
@@ -140,7 +141,7 @@ def _torus_entry(n: int) -> CatalogEntry:
     system = FlowSystem(
         name=f"quasiperiodic_torus_{n}",
         chart=chart,
-        closed_form=lambda t, x: x + w * t,
+        closed_form=lambda t, x: x + w * np.asarray(t)[..., None],
     )
     action = TorusActionSpec(
         torus_dim=n,
@@ -150,9 +151,9 @@ def _torus_entry(n: int) -> CatalogEntry:
 
     def F(x):
         ang = TWO_PI * np.asarray(x, float)
-        out = np.empty(2 * n)
-        out[0::2] = np.cos(ang)
-        out[1::2] = np.sin(ang)
+        out = np.empty(ang.shape[:-1] + (2 * n,))
+        out[..., 0::2] = np.cos(ang)
+        out[..., 1::2] = np.sin(ang)
         return out
 
     B = _block(*[TWO_PI * wi * _J for wi in w])
@@ -172,8 +173,8 @@ def _torus_entry(n: int) -> CatalogEntry:
 
 
 def _sphere_closed(t, x):
-    zx, zy = _rotate2(x[0], x[1], TWO_PI * t)
-    return np.array([zx, zy, x[2]])
+    zx, zy = _rotate2(x[..., 0], x[..., 1], TWO_PI * t)
+    return join_coords(zx, zy, x[..., 2])
 
 
 def _sphere_sampler(rng, count):
@@ -215,19 +216,13 @@ def _sphere_entry() -> CatalogEntry:
 
 def _klein_identify(p):
     p = np.asarray(p, float)
-    return np.stack([np.mod(p[..., 0] + 0.5, 1.0), np.mod(-p[..., 1], 1.0)], axis=-1)
+    return join_coords(np.mod(p[..., 0] + 0.5, 1.0), np.mod(-p[..., 1], 1.0))
 
 
 def _klein_F(x):
-    a, b = TWO_PI * x[0], TWO_PI * x[1]
-    return np.array(
-        [
-            np.cos(2 * a),
-            np.sin(2 * a),
-            np.sin(b) * np.cos(a),
-            np.sin(b) * np.sin(a),
-            np.cos(b),
-        ]
+    a, b = TWO_PI * x[..., 0], TWO_PI * x[..., 1]
+    return join_coords(
+        np.cos(2 * a), np.sin(2 * a), np.sin(b) * np.cos(a), np.sin(b) * np.sin(a), np.cos(b)
     )
 
 
@@ -236,12 +231,12 @@ def _klein_entry() -> CatalogEntry:
     system = FlowSystem(
         name="klein_bottle",
         chart=chart,
-        closed_form=lambda t, x: np.array([x[0] + t, x[1]]),
+        closed_form=lambda t, x: join_coords(x[..., 0] + t, x[..., 1]),
     )
     action = TorusActionSpec(
         torus_dim=1,
         action=lambda h, x: chart.wrap(
-            np.array([x[0] + float(np.asarray(h).ravel()[0]), x[1]])
+            join_coords(x[..., 0] + float(np.asarray(h).ravel()[0]), x[..., 1])
         ),
         omega=FrequencyVector([1.0]),
     )
@@ -261,8 +256,8 @@ def _klein_entry() -> CatalogEntry:
 
 
 def _rp2_F(x):
-    zx, zy, s = x
-    return np.array([zx * zx - zy * zy, 2 * zx * zy, s * zx, -s * zy, s * s])
+    zx, zy, s = x[..., 0], x[..., 1], x[..., 2]
+    return join_coords(zx * zx - zy * zy, 2 * zx * zy, s * zx, -s * zy, s * s)
 
 
 def _rp2_entry() -> CatalogEntry:
@@ -296,13 +291,14 @@ def _rp2_entry() -> CatalogEntry:
 
 
 def _product_closed(t, x):
-    zx, zy = _rotate2(x[0], x[1], TWO_PI * t)
-    return np.array([zx, zy, x[2], x[3] * np.exp(-t)])
+    zx, zy = _rotate2(x[..., 0], x[..., 1], TWO_PI * t)
+    return join_coords(zx, zy, x[..., 2], x[..., 3] * np.exp(-t))
 
 
 def _product_phase(x):
-    x = np.asarray(x, float)
-    return np.array([x[0], x[1], x[2], 0.0])
+    out = np.array(x, dtype=float)
+    out[..., 3] = 0.0
+    return out
 
 
 def _product_entry() -> CatalogEntry:
@@ -315,15 +311,18 @@ def _product_entry() -> CatalogEntry:
 
     def projector(x):
         x = np.asarray(x, float)
-        u = x[:3] / np.linalg.norm(x[:3])
-        return np.array([u[0], u[1], u[2], 0.0])
+        out = np.zeros(x.shape)
+        out[..., :3] = x[..., :3] / np.sqrt(np.vecdot(x[..., :3], x[..., :3]))[..., None]
+        return out
 
     attractor = AttractorModel(cloud=cloud, restricted_flow=restricted, exact_projector=projector)
     B = _block(TWO_PI * _J, np.zeros((1, 1)), -np.eye(1))
     lyap = LyapunovData(
-        V=lambda x: float(x[3]) ** 2,
+        V=lambda x: x[..., 3] * x[..., 3],
         level=1.0,
-        level_set_embedding=lambda x: np.array([x[0], x[1], x[2], np.sign(x[3])])
+        level_set_embedding=lambda x: join_coords(
+            x[..., 0], x[..., 1], x[..., 2], np.sign(x[..., 3])
+        )
         / np.sqrt(2.0),
         sphere_dim=4,
     )
@@ -338,7 +337,10 @@ def _product_entry() -> CatalogEntry:
         states = np.array([[1.0, 0.0, 0.0, y] for y in ys])
         return states, ys**2
 
-    F0 = (lambda a: np.asarray(a, float)[:3], LinearGenerator(_block(TWO_PI * _J, np.zeros((1, 1)))))
+    F0 = (
+        lambda a: np.asarray(a, float)[..., :3],
+        LinearGenerator(_block(TWO_PI * _J, np.zeros((1, 1)))),
+    )
     return CatalogEntry(
         name="product_attractor",
         system=system,
@@ -363,19 +365,18 @@ def _product_entry() -> CatalogEntry:
 
 
 def _annulus_closed(t, x):
-    r, theta = x
+    r, theta = x[..., 0], x[..., 1]
     u = r - 1.0
     w = np.sqrt(1.0 + 2.0 * t * u * u)
-    return np.array([1.0 + u / w, theta + t + 2.0 * t * u / (1.0 + w)])
+    return join_coords(1.0 + u / w, theta + t + 2.0 * t * u / (1.0 + w))
 
 
 def _annulus_t_min(x):
-    u = float(x[0]) - 1.0
-    if u == 0.0:
-        return -np.inf
-    if u > 0.0:
-        return -0.5 / (u * u)
-    return (u * u - 1.0) / (2.0 * u * u)
+    u = x[..., 0] - 1.0
+    uu = u * u
+    # on the limit cycle (u == 0) this is -0.5 / 0 = -inf: no bound
+    with np.errstate(divide="ignore"):
+        return np.where(u > 0.0, -0.5, 0.5 * (uu - 1.0)) / uu
 
 
 def _annulus_field(x):
@@ -389,12 +390,12 @@ def _circle_attractor(name: str) -> AttractorModel:
     restricted = FlowSystem(
         name=f"{name}|A",
         chart=polar_annulus(),
-        closed_form=lambda t, x: np.array([x[0], x[1] + t]),
+        closed_form=lambda t, x: join_coords(x[..., 0], x[..., 1] + t),
     )
     return AttractorModel(
         cloud=cloud,
         restricted_flow=restricted,
-        exact_projector=lambda x: np.array([1.0, x[1]]),
+        exact_projector=lambda x: join_coords(np.ones_like(x[..., 1]), x[..., 1]),
     )
 
 
@@ -455,10 +456,10 @@ def _annulus_entry() -> CatalogEntry:
 
 
 def _log_radial_closed(t, x):
-    r, theta = x
+    r, theta = x[..., 0], x[..., 1]
     v = np.log(r)
     decay = np.exp(-t)
-    return np.array([np.exp(v * decay), theta + t - v * np.expm1(-t)])
+    return join_coords(np.exp(v * decay), theta + t - v * np.expm1(-t))
 
 
 def _log_radial_field(x):
@@ -467,32 +468,41 @@ def _log_radial_field(x):
 
 
 def _log_radial_phase(x):
-    return np.array([1.0, np.mod(x[1] + np.log(x[0]), TWO_PI)])
+    phi = np.mod(x[..., 1] + np.log(x[..., 0]), TWO_PI)
+    return join_coords(np.ones_like(phi), phi)
 
 
 def _log_radial_F(x):
-    r, theta = x
+    r, theta = x[..., 0], x[..., 1]
     v = np.log(r)
     phi = theta + v
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([c, s, v * c, v * s])
+    return join_coords(c, s, v * c, v * s)
 
 
 _LOG_RADIAL_BG = np.array([[-1.0, -1.0], [1.0, -1.0]])
 
 
 def _log_radial_G(x):
-    r, theta = x
+    r, theta = x[..., 0], x[..., 1]
     v = np.log(r)
     phi = theta + v
-    return np.array([v * np.cos(phi), v * np.sin(phi)])
+    return join_coords(v * np.cos(phi), v * np.sin(phi))
 
 
 def _log_radial_F1(x):
-    c, s = np.cos(x[1]), np.sin(x[1])
-    if np.log(x[0]) > 0:
-        return np.array([c, s, 0.0, 0.0])
-    return np.array([0.0, 0.0, c, s])
+    c, s = np.cos(x[..., 1]), np.sin(x[..., 1])
+    outer = np.log(x[..., 0]) > 0
+    zero = np.zeros_like(c)
+    return join_coords(
+        np.where(outer, c, zero), np.where(outer, s, zero),
+        np.where(outer, zero, c), np.where(outer, zero, s),
+    )
+
+
+def _log_radial_V(x):
+    v = np.log(x[..., 0])
+    return v * v
 
 
 def _log_radial_entry() -> CatalogEntry:
@@ -501,13 +511,15 @@ def _log_radial_entry() -> CatalogEntry:
     ode = FlowSystem(name="log_radial_ode", chart=chart, vector_field=_log_radial_field)
     B = _block(_J, _LOG_RADIAL_BG)
     lyap = LyapunovData(
-        V=lambda x: float(np.log(x[0])) ** 2,
+        V=_log_radial_V,
         level=1.0,
         level_set_embedding=_log_radial_F1,
         sphere_dim=4,
     )
     transverse = TransverseData(
-        G=_log_radial_G, B=LinearGenerator(_LOG_RADIAL_BG), in_U=lambda x: True
+        G=_log_radial_G,
+        B=LinearGenerator(_LOG_RADIAL_BG),
+        in_U=lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
     )
 
     def sampler(rng, count):
@@ -520,14 +532,17 @@ def _log_radial_entry() -> CatalogEntry:
         states = np.column_stack([np.exp(vs), np.zeros(count)])
         return states, vs**2
 
-    F0 = (lambda a: np.array([np.cos(a[1]), np.sin(a[1])]), LinearGenerator(_J))
+    F0 = (
+        lambda a: join_coords(np.cos(a[..., 1]), np.sin(a[..., 1])),
+        LinearGenerator(_J),
+    )
     exact_lift = (
         ["re_phase", "im_phase", "re_decay", "im_decay"],
         [
-            lambda x: _log_radial_F(x)[0],
-            lambda x: _log_radial_F(x)[1],
-            lambda x: _log_radial_F(x)[2],
-            lambda x: _log_radial_F(x)[3],
+            lambda x: _log_radial_F(x)[..., 0],
+            lambda x: _log_radial_F(x)[..., 1],
+            lambda x: _log_radial_F(x)[..., 2],
+            lambda x: _log_radial_F(x)[..., 3],
         ],
     )
     return CatalogEntry(
@@ -555,7 +570,7 @@ def _saddle_entry() -> CatalogEntry:
     system = FlowSystem(
         name="saddle_plane",
         chart=chart,
-        closed_form=lambda t, x: np.array([x[0] * np.exp(t), x[1] * np.exp(-t)]),
+        closed_form=lambda t, x: join_coords(x[..., 0] * np.exp(t), x[..., 1] * np.exp(-t)),
     )
     ode = FlowSystem(
         name="saddle_plane_ode", chart=chart, vector_field=lambda x: np.array([x[0], -x[1]])

@@ -124,24 +124,28 @@ class SnapshotSet:
 
 
 def collect_snapshots(sys: FlowSystem, initial_states, step: float, count: int) -> SnapshotSet:
-    """Roll trajectories from the initial states, one evolve call per pair."""
+    """Roll trajectories from the initial states in lockstep.
+
+    Each of the S starts rolls ceil(count / S) pairs until count pairs are
+    collected, so the last trajectories may be shorter or empty; pairs are
+    ordered by start, then by step.  Each step is one batched evolve over
+    the trajectories still live.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim == 1:
         initial_states = initial_states[None, :]
     per_state = int(np.ceil(count / len(initial_states)))
-    xs, ys = [], []
-    for x0 in initial_states:
-        x = np.asarray(x0, float)
-        for _ in range(per_state):
-            if len(xs) == count:
-                break
-            x_next = evolve(sys, x, step)
-            xs.append(x)
-            ys.append(x_next)
-            x = x_next
-    return SnapshotSet(np.array(xs[:count]), np.array(ys[:count]), step)
+    lengths = np.clip(count - per_state * np.arange(len(initial_states)), 0, per_state)
+    rolls = np.empty((len(initial_states), per_state + 1, initial_states.shape[1]))
+    rolls[:, 0] = initial_states
+    for k in range(per_state):
+        live = lengths > k
+        rolls[live, k + 1] = evolve(sys, rolls[live, k], step)
+    X = np.concatenate([roll[:n] for roll, n in zip(rolls, lengths)])
+    Y = np.concatenate([roll[1 : n + 1] for roll, n in zip(rolls, lengths)])
+    return SnapshotSet(X, Y, step)
 
 
 @dataclass(frozen=True, eq=False)

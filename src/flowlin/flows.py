@@ -4,6 +4,14 @@ A FlowSystem pairs a chart (per-coordinate wrap rules, optional quotient
 identifications) with either an exact flow map or a vector field handed to
 the adaptive integrator.  Angles are reduced to their canonical fundamental
 domain once, after each full evolve call.
+
+States come in batches: an ``(N, dim)`` array holds one state per row and a
+single ``(dim,)`` state is the N = 1 case.  State functions (closed forms,
+``t_min``, charts' identifications) read coordinates as ``x[..., i]`` and
+assemble states with ``join_coords``; a
+closed form takes ``t`` as a scalar or as an array broadcasting against
+``x.shape[:-1]``, one time per row.  Vector fields stay single-state: the
+integrator runs one row at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "Trajectory",
     "TimeOutOfDomain",
     "IntegrationFailure",
+    "join_coords",
     "euclidean",
     "torus_angles",
     "polar_annulus",
@@ -38,6 +47,17 @@ TWO_PI = 2.0 * np.pi
 
 class TimeOutOfDomain(FlowlinError):
     """Requested time lies outside the trajectory's domain of definition."""
+
+
+def join_coords(*coords) -> np.ndarray:
+    """States whose coordinate i is ``coords[i]``: the inverse of reading ``x[..., i]``.
+
+    The coordinates share one shape, and the result is C-contiguous with the
+    coordinates along the last axis, as ``np.stack(coords, axis=-1)`` gives,
+    at a fifth of its cost on a single state.
+    """
+    out = np.array(coords, dtype=float)
+    return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
 
 
 ORBIT_LIMIT = 64  # largest identification group a chart may generate
@@ -124,6 +144,8 @@ class ChartDescriptor:
     def distances(self, a, states) -> np.ndarray:
         """Chart distance from the state ``a`` to every row of ``states``.
 
+        ``a`` may also be a batch of the shape of ``states``, which gives
+        the distance of each row of ``a`` to the same row of ``states``.
         Min over wraps per coordinate and over the identification orbit of
         each row.  A row with no finite distance (a NaN state) is at
         distance inf, so it never passes for a close one.
@@ -231,33 +253,58 @@ class Trajectory:
         object.__setattr__(self, "states", x)
 
 
-def _check_domain(sys: FlowSystem, x: np.ndarray, t: float) -> None:
-    bound = sys.t_min(x)
-    if np.isfinite(bound) and t <= bound:
+def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
+    """Raise TimeOutOfDomain when some row's time is at or below its bound."""
+    if sys.t_min is _no_lower_bound:
+        return
+    bound = np.asarray(sys.t_min(x))
+    bad = np.isfinite(bound) & (t <= bound)
+    if bad.any():
+        row = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
         raise TimeOutOfDomain(
-            f"{sys.name}: t = {t:.6g} at or below domain bound {bound:.6g}"
+            f"{sys.name}: t = {np.broadcast_to(t, bad.shape)[row]:.6g} at or below "
+            f"domain bound {np.broadcast_to(bound, bad.shape)[row]:.6g}{where}"
         )
 
 
-def evolve(sys: FlowSystem, x, t: float) -> np.ndarray:
-    """Flow the state forward (or backward) by time t, wrapped to the chart."""
+def evolve(sys: FlowSystem, x, t) -> np.ndarray:
+    """Flow each state forward (or backward) by its time, wrapped to the chart.
+
+    ``x`` is one ``(dim,)`` state or an ``(N, dim)`` batch; ``t`` is a scalar
+    or one time per row.  A row with t == 0 comes back as ``wrap(x)``
+    exactly.  Every row is checked against ``sys.t_min``.
+    """
     x = np.asarray(x, dtype=float)
-    if t == 0.0:
+    # np.ndim costs microseconds on a Python float, the common single-state call
+    per_row = not isinstance(t, float) and np.ndim(t) > 0
+    if per_row:
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+    elif t == 0.0:
         return sys.chart.wrap(x)
     _check_domain(sys, x, t)
     if sys.closed_form is not None:
         # extreme times may legitimately saturate to inf; callers gate on it
         with np.errstate(over="ignore", invalid="ignore"):
-            return sys.chart.wrap(np.asarray(sys.closed_form(t, x), dtype=float))
-    dense = integrate(sys.vector_field, x, 0.0, t, sys.settings)
-    return sys.chart.wrap(dense(t))
+            out = np.asarray(sys.closed_form(t, x), dtype=float)
+        if per_row:
+            out = np.where((t == 0.0)[..., None], x, out)
+        return sys.chart.wrap(out)
+    rows = x.reshape(-1, x.shape[-1])
+    times = np.broadcast_to(t, x.shape[:-1]).ravel()
+    out = np.array([
+        integrate(sys.vector_field, xi, 0.0, float(ti), sys.settings)(float(ti)) if ti != 0.0 else xi
+        for xi, ti in zip(rows, times)
+    ])
+    return sys.chart.wrap(out.reshape(x.shape))
 
 
 def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
     """Sample the trajectory through x on an increasing time grid.
 
-    Closed-form systems are evaluated pointwise; vector-field systems use a
-    single adaptive pass per time direction with dense-output interpolation.
+    Closed-form systems are evaluated in one batched evolve call; vector-field
+    systems use a single adaptive pass per time direction with dense-output
+    interpolation.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -265,8 +312,7 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
         if t != 0.0:
             _check_domain(sys, x, float(t))
     if sys.closed_form is not None:
-        states = np.array([evolve(sys, x, float(t)) for t in t_grid])
-        return Trajectory(t_grid, states)
+        return Trajectory(t_grid, evolve(sys, np.broadcast_to(x, t_grid.shape + x.shape), t_grid))
 
     dense_fwd: DenseOutput | None = None
     dense_bwd: DenseOutput | None = None

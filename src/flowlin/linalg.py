@@ -93,19 +93,23 @@ def as_frequency_vector(omega) -> FrequencyVector:
     return FrequencyVector(np.asarray(omega, dtype=float))
 
 
-def matrix_exp(B, t: float) -> np.ndarray:
+def matrix_exp(B, t) -> np.ndarray:
     """exp(B*t) by scaling-and-squaring with a high-order Pade approximant.
 
-    Raises ExpRangeError when the result overflows float64.
+    ``t`` is a scalar, giving one (k, k) matrix, or an array of times,
+    giving a stack of shape ``t.shape + (k, k)``.  Raises ExpRangeError
+    when a result overflows float64.
     """
     gen = as_generator(B)
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(gen.entries * t)
+        result = scipy.linalg.expm(gen.entries * t[..., None, None])
     if not np.all(np.isfinite(result)):
         raise ExpRangeError(
-            f"exp(B*t) overflows for norm(B*t) = {np.linalg.norm(gen.entries * t, 1):.3g}"
+            "exp(B*t) overflows for norm(B*t) = "
+            f"{np.linalg.norm(gen.entries, 1) * np.max(np.abs(t)):.3g}"
         )
     return result
 

@@ -67,7 +67,7 @@ def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
     entry = catalog.get("log_radial")
     bad = entry.sample_states(np.random.default_rng(0), 200)[0]
     F = entry.exact_embedding.F
-    patchy = lambda x: np.full(len(F(x)), np.nan) if np.array_equal(x, bad) else F(x)
+    patchy = lambda x: np.where(np.all(x == bad, axis=-1)[..., None], np.nan, F(x))
     embedding = catalog.ExactEmbedding(patchy, entry.exact_embedding.B)
     monkeypatch.setitem(
         catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)

@@ -63,14 +63,14 @@ def test_impact_time_negative_when_inside_level(log_radial):
 
 
 def test_bracket_failure_when_level_unreachable(log_radial):
-    capped = lambda x: min(float(np.log(x[0])) ** 2, 4.0)
+    capped = lambda x: np.minimum(np.log(x[..., 0]) ** 2, 4.0)
     with pytest.raises(BracketFailure):
         impact_time(log_radial.system, capped, 9.0, [2.0, 0.0])
 
 
 def test_bracket_respects_domain_bound():
     entry = catalog.get("annulus_cubic")
-    V = lambda x: (float(x[0]) - 1.0) ** 2
+    V = lambda x: (x[..., 0] - 1.0) ** 2
     # backward blowup happens before V can climb to an enormous level only
     # when the level sits beyond the domain... here it is reachable just
     # inside the bound, so the solve succeeds
@@ -146,7 +146,8 @@ def test_built_topological_product_attractor():
 
 
 def test_builder_rejects_bad_phase_map(log_radial, validation_states):
-    bad_phase = lambda x: np.array([1.0, x[1]])  # drops the ln r shear
+    # drops the ln r shear
+    bad_phase = lambda x: np.stack([np.ones_like(x[..., 1]), x[..., 1]], axis=-1)
     with pytest.raises(PhaseMapInvalid):
         build_topological_embedding(
             log_radial.system, log_radial.attractor, bad_phase,
@@ -184,9 +185,9 @@ def test_smooth_overlap_identity(log_radial):
 
 def test_degenerate_transverse_map_rejected(log_radial, validation_states):
     zero = TransverseData(
-        G=lambda x: np.zeros(2),
+        G=lambda x: np.zeros(np.shape(x)[:-1] + (2,)),
         B=LinearGenerator(np.array([[-1.0, -1.0], [1.0, -1.0]])),
-        in_U=lambda x: True,
+        in_U=lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
     )
     with pytest.raises(ConditionThreeViolated):
         build_smooth_embedding(
@@ -284,7 +285,9 @@ def test_quality_exact_log_radial(log_radial):
 
 
 def test_quality_flags_constant_map(log_radial):
-    cand = EmbeddingCandidate(lambda x: np.zeros(3), LinearGenerator(np.zeros((3, 3))), "exact")
+    cand = EmbeddingCandidate(
+        lambda x: np.zeros(np.shape(x)[:-1] + (3,)), LinearGenerator(np.zeros((3, 3))), "exact"
+    )
     states = log_radial.sample_states(np.random.default_rng(6), 50)
     report = verify_embedding_quality(cand, log_radial.system, states)
     assert report.injectivity_margin == 0.0

@@ -173,7 +173,7 @@ def test_bad_phase_map_fails():
     rng = np.random.default_rng(26)
     samples = entry.sample_states(rng, 30)
     # ignoring the ln r correction breaks equivariance
-    bad = lambda x: np.array([1.0, x[1]])
+    bad = lambda x: np.stack([np.ones_like(x[..., 1]), x[..., 1]], axis=-1)
     report = verify_phase_properties(
         entry.system, bad, samples, entry.attractor.cloud[:20],
         t_grid=(0.0, 1.0, 2.0), tol=1e-9,
