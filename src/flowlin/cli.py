@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, catalog, edmd, obstruct, phase, pinched
 from .embed import (
+    BATCH_TOL,
     EmbeddingCandidate,
     QualityOptions,
     build_smooth_embedding,
@@ -167,7 +168,7 @@ def _built_candidate(entry) -> EmbeddingCandidate:
 def _quality_checks(
     cand, entry, states, options: QualityOptions = QualityOptions()
 ) -> tuple[list[dict], dict]:
-    """Injectivity, immersion and, given catalog escape states, properness checks.
+    """Injectivity, immersion and batch-agreement checks, plus properness given escape states.
 
     The floors come from ``options``; returns the checks and the properness probe.
     """
@@ -189,6 +190,9 @@ def _quality_checks(
             quality.min_jacobian_sigma,
             options.sigma_floor,
             not quality.immersion_flagged,
+        ),
+        _check(
+            "batch_agreement", quality.batch_disagreement, BATCH_TOL, not quality.batch_flagged
         ),
     ]
     if quality.properness["available"]:

@@ -4,14 +4,15 @@ The topological builder assembles F(x) = (F0(P(x)), e^{tau(x)} F1(Phi^{tau(x)}(x
 from a phase map P, an embedding F0 of the attractor, and Lyapunov level-set
 data; its generator is blockdiag(B0, -I).  The smooth builder instead conjugates
 a transverse equivariant map G back along the impact time.  Verification
-covers the linearization residual, injectivity, immersion rank, and a
-properness probe.
+covers the linearization residual, injectivity, immersion rank, batch
+agreement and a properness probe.
 
 Everything here works on state batches (see ``flows``): the maps a builder
 takes read ``x[..., i]``, a built F maps ``(..., dim)`` to ``(..., k)`` with
 one batched impact-time solve per call, and each verification passes all of
 its states (flowed copies and finite-difference probes included) to F in
-one call.
+one call; the quality check adds one single-state call to see that F honours
+the convention.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ EQUIVARIANCE_TOL = 1e-8
 TANGENT_TOL = 1e-5
 # smallest |dG v| along a direction transverse to the attractor
 TRANSVERSE_FLOOR = 1e-2
+# largest ||F(X)[0] - F(X[0])|| the quality check accepts: a map must give a
+# single state the image its batch row gets
+BATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,11 +332,6 @@ def _kernel_check(attractor, G):
         )
 
 
-def _in_U(in_U: Callable, X: np.ndarray) -> np.ndarray:
-    """Membership mask of the rows of X in U."""
-    return np.broadcast_to(np.asarray(in_U(X), dtype=bool), X.shape[:-1])
-
-
 def _conjugated_G(sys, G, B, V, c, X) -> np.ndarray:
     """Rows e^{-B tau(x)} G(Phi^{tau(x)}(x)) of a batch of states."""
     tau = impact_time(sys, V, c, X)
@@ -360,9 +359,8 @@ def build_smooth_embedding(
             f"transverse generator must be strictly stable, max Re = {eig.real.max():.3g}"
         )
     X = np.asarray(validation_states, dtype=float)
-    worst = verify_linearization(
-        EmbeddingCandidate(G, B, "supplied"), sys, (X[_in_U(in_U, X)], (0.1, 0.5, 1.0))
-    )
+    X_U = X[np.asarray(in_U(X), dtype=bool)]
+    worst = verify_linearization(EmbeddingCandidate(G, B, "supplied"), sys, (X_U, (0.1, 0.5, 1.0)))
     if not worst <= EQUIVARIANCE_TOL:
         raise ConditionThreeViolated(
             f"G equivariance residual {worst:.3g} > {EQUIVARIANCE_TOL:.3g}"
@@ -377,7 +375,7 @@ def build_smooth_embedding(
         X = x.reshape(-1, x.shape[-1])
         out = np.empty((len(X), k1 + k))
         out[:, :k1] = F1A_map(P(X))
-        inside = _in_U(in_U, X)
+        inside = np.asarray(in_U(X), dtype=bool)
         if inside.any():
             out[inside, k1:] = G(X[inside])
         if not inside.all():
@@ -396,7 +394,7 @@ def overlap_identity_residual(
     """Max disagreement of G(x) and e^{-B tau} G(Phi^tau(x)) on U intersect {V > c}."""
     G, B, in_U = transverse.G, as_generator(transverse.B), transverse.in_U
     X = np.asarray(states, dtype=float)
-    X = X[_in_U(in_U, X) & (np.asarray(V(X), float) > c)]
+    X = X[np.asarray(in_U(X), dtype=bool) & (np.asarray(V(X), float) > c)]
     if not len(X):
         return 0.0
     diff = np.asarray(G(X), dtype=float) - _conjugated_G(sys, G, B, V, c, X)
@@ -438,6 +436,8 @@ class QualityReport:
     injectivity_flagged: bool
     min_jacobian_sigma: float
     immersion_flagged: bool
+    batch_disagreement: float
+    batch_flagged: bool
     properness: dict
 
 
@@ -455,10 +455,17 @@ def verify_embedding_quality(
     either is flagged.  The smallest singular value comes from a
     central-difference Jacobian with step FD_STEP at every state.
     Properness is a probe, never a certificate.  F is called once each for
-    the images, the Jacobian probes and the escape states.
+    the images, the Jacobian probes and the escape states, and once more on
+    the first state alone: its image must match its batch row within
+    BATCH_TOL, so a map written for one state that reads its whole argument
+    is flagged instead of silently misreading a batch.
     """
     states = np.asarray(states, dtype=float)
     images = np.asarray(cand.F(states), dtype=float)
+    disagreement = np.nan  # no state, no evidence
+    if len(states):
+        diff = images[0] - np.asarray(cand.F(states[0]), dtype=float)
+        disagreement = float(np.sqrt(np.vecdot(diff, diff)))
     margin = sys.chart.injectivity_margin(states, images)
     sigmas = np.linalg.svd(_fd_jacobian(cand.F, states), compute_uv=False)[..., -1]
     sigma_min = np.min(sigmas, initial=np.inf)
@@ -487,5 +494,7 @@ def verify_embedding_quality(
         injectivity_flagged=not margin >= options.injectivity_floor,
         min_jacobian_sigma=float(sigma_min),
         immersion_flagged=not sigma_min >= options.sigma_floor,
+        batch_disagreement=disagreement,
+        batch_flagged=not disagreement <= BATCH_TOL,
         properness=properness,
     )

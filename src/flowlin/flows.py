@@ -308,11 +308,11 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     x = np.asarray(x, dtype=float)
+    if sys.closed_form is not None:
+        return Trajectory(t_grid, evolve(sys, np.broadcast_to(x, t_grid.shape + x.shape), t_grid))
     for t in t_grid:
         if t != 0.0:
             _check_domain(sys, x, float(t))
-    if sys.closed_form is not None:
-        return Trajectory(t_grid, evolve(sys, np.broadcast_to(x, t_grid.shape + x.shape), t_grid))
 
     dense_fwd: DenseOutput | None = None
     dense_bwd: DenseOutput | None = None

@@ -81,6 +81,19 @@ def test_built_embedding_batch_matches_each_row(built, key):
     np.testing.assert_array_equal(F(X.reshape(5, 6, -1)), images.reshape(5, 6, -1))
 
 
+def test_quality_flags_a_map_that_reads_the_whole_batch():
+    entry = catalog.get("log_radial")
+    F, B = entry.exact_embedding.F, entry.exact_embedding.B
+    X = entry.sample_states(np.random.default_rng(16), 20)
+    # written for one state: on a batch the norm runs over every row
+    whole = embed.EmbeddingCandidate(lambda x: F(x) * np.linalg.norm(x), B, "supplied")
+    report = embed.verify_embedding_quality(whole, entry.system, X)
+    assert report.batch_disagreement > embed.BATCH_TOL and report.batch_flagged
+    exact = embed.EmbeddingCandidate(F, B, "exact")
+    report = embed.verify_embedding_quality(exact, entry.system, X)
+    assert report.batch_disagreement == 0.0 and not report.batch_flagged
+
+
 @pytest.mark.parametrize("name", BASINS)
 def test_impact_time_batch_matches_each_row(name):
     entry = catalog.get(name)

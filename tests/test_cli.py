@@ -81,6 +81,27 @@ def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
         assert np.isnan(checks[name]["value"]) and not checks[name]["pass"]
 
 
+def test_verify_flags_a_map_written_for_one_state(tmp_path, monkeypatch):
+    # NaN at one state only, but matched against the whole argument: on a
+    # batch it never fires, so only the single-state probe of the first
+    # sampled state sees the NaN
+    entry = catalog.get("log_radial")
+    bad = entry.sample_states(np.random.default_rng(0), 200)[0]
+    F = entry.exact_embedding.F
+    patchy = lambda x: np.full(len(F(x)), np.nan) if np.array_equal(x, bad) else F(x)
+    embedding = catalog.ExactEmbedding(patchy, entry.exact_embedding.B)
+    monkeypatch.setitem(
+        catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)
+    )
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--system", "log_radial", "--embedding", "exact",
+                "--samples", "200", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in read_json(out)["checks"]}
+    assert np.isnan(checks["batch_agreement"]["value"])
+    assert not checks["batch_agreement"]["pass"]
+
+
 def test_pinched_nan_separation_fails(tmp_path, monkeypatch):
     # NaN embedding on a band of the first angle: the separation scan must
     # keep the NaN instead of stepping over it
