@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .embed import EmbeddingCandidate, LyapunovData, TransverseData, verify_linearization
 from .errors import FlowlinError
@@ -27,7 +26,7 @@ from .flows import (
     product,
     torus_angles,
 )
-from .linalg import FrequencyVector, LinearGenerator
+from .linalg import FrequencyVector, LinearGenerator, block_diag
 from .obstruct import SystemFacts
 from .phase import AttractorModel
 
@@ -122,10 +121,6 @@ def _rotate2(x, y, angle):
     return c * x - s * y, s * x + c * y
 
 
-def _block(*mats) -> np.ndarray:
-    return scipy.linalg.block_diag(*mats)
-
-
 # --- quasiperiodic tori ------------------------------------------------------
 
 _TORUS_OMEGAS = {
@@ -156,7 +151,7 @@ def _torus_entry(n: int) -> CatalogEntry:
         out[..., 1::2] = np.sin(ang)
         return out
 
-    B = _block(*[TWO_PI * wi * _J for wi in w])
+    B = block_diag(*[TWO_PI * wi * _J for wi in w])
     return CatalogEntry(
         name=f"quasiperiodic_torus_{n}",
         system=system,
@@ -190,7 +185,7 @@ def _sphere_entry() -> CatalogEntry:
         action=lambda h, x: _sphere_closed(float(np.asarray(h).ravel()[0]), np.asarray(x, float)),
         omega=FrequencyVector([1.0]),
     )
-    B = _block(TWO_PI * _J, np.zeros((1, 1)))
+    B = block_diag(TWO_PI * _J, np.zeros((1, 1)))
     north = EquilibriumInfo(
         (0.0, 0.0, 1.0), 1, lambda p: TWO_PI * np.column_stack([-p[:, 1], p[:, 0]])
     )
@@ -240,7 +235,7 @@ def _klein_entry() -> CatalogEntry:
         ),
         omega=FrequencyVector([1.0]),
     )
-    B = _block(2 * TWO_PI * _J, TWO_PI * _J, np.zeros((1, 1)))
+    B = block_diag(2 * TWO_PI * _J, TWO_PI * _J, np.zeros((1, 1)))
     return CatalogEntry(
         name="klein_bottle",
         system=system,
@@ -268,7 +263,7 @@ def _rp2_entry() -> CatalogEntry:
         action=lambda h, x: _sphere_closed(float(np.asarray(h).ravel()[0]), np.asarray(x, float)),
         omega=FrequencyVector([1.0]),
     )
-    B = _block(2 * TWO_PI * _J, -TWO_PI * _J, np.zeros((1, 1)))
+    B = block_diag(2 * TWO_PI * _J, -TWO_PI * _J, np.zeros((1, 1)))
     pole = EquilibriumInfo(
         (0.0, 0.0, 1.0), 1, lambda p: TWO_PI * np.column_stack([-p[:, 1], p[:, 0]])
     )
@@ -316,7 +311,7 @@ def _product_entry() -> CatalogEntry:
         return out
 
     attractor = AttractorModel(cloud=cloud, restricted_flow=restricted, exact_projector=projector)
-    B = _block(TWO_PI * _J, np.zeros((1, 1)), -np.eye(1))
+    B = block_diag(TWO_PI * _J, np.zeros((1, 1)), -np.eye(1))
     lyap = LyapunovData(
         V=lambda x: x[..., 3] * x[..., 3],
         level=1.0,
@@ -339,7 +334,7 @@ def _product_entry() -> CatalogEntry:
 
     F0 = (
         lambda a: np.asarray(a, float)[..., :3],
-        LinearGenerator(_block(TWO_PI * _J, np.zeros((1, 1)))),
+        LinearGenerator(block_diag(TWO_PI * _J, np.zeros((1, 1)))),
     )
     return CatalogEntry(
         name="product_attractor",
@@ -509,7 +504,7 @@ def _log_radial_entry() -> CatalogEntry:
     chart = polar_annulus()
     system = FlowSystem(name="log_radial", chart=chart, closed_form=_log_radial_closed)
     ode = FlowSystem(name="log_radial_ode", chart=chart, vector_field=_log_radial_field)
-    B = _block(_J, _LOG_RADIAL_BG)
+    B = block_diag(_J, _LOG_RADIAL_BG)
     lyap = LyapunovData(
         V=_log_radial_V,
         level=1.0,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FlowlinError
 from .flows import ChartDescriptor, FlowSystem, evolve
+from .linalg import solve_positive_definite
 from .phase import GeometricSchedule, estimate_phase
 
 __all__ = [
@@ -190,8 +190,8 @@ def fit(dictionary: Dictionary, snapshots: SnapshotSet, ridge: float = 1e-10) ->
             )
     A = PY @ PX.T
     try:
-        K = scipy.linalg.solve(G + ridge * np.eye(dictionary.size), A.T, assume_a="pos").T
-    except scipy.linalg.LinAlgError as err:
+        K = solve_positive_definite(G + ridge * np.eye(dictionary.size), A.T).T
+    except np.linalg.LinAlgError as err:
         raise RankDeficient(f"Gram matrix not positive definite: {err}; set ridge > 0") from err
     return EDMDModel(
         K=K,

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize.elementwise
-import scipy.stats
 
 from .errors import FlowlinError
-from .flows import FlowSystem, evolve, join_coords
+from .flows import FlowSystem, evolve
 from .linalg import LinearGenerator, as_generator, matrix_exp
 from .phase import AttractorModel
 
@@ -70,6 +68,10 @@ MAX_BRACKET = 100.0
 ATTRACTOR_TOL = 1e-14
 # largest |V - c| accepted at a returned impact time
 IMPACT_TOL = 1e-10
+# the impact-time solve stops once a bracket is narrower than
+# SOLVE_XTOL * (1 + |tau|), or fails after SOLVE_MAXITER steps
+SOLVE_XTOL = 1e-14
+SOLVE_MAXITER = 200
 # step of the central-difference Jacobians
 FD_STEP = 1e-5
 # largest G(Phi^t x) - e^{Bt} G(x) residual the smooth builder accepts on U
@@ -111,16 +113,87 @@ class EmbeddingCandidate:
     provenance: str  # "exact" | "built_topological" | "built_smooth" | "edmd" | "supplied"
 
 
+def _chandrupatla(f: Callable, x1, f1, x2, f2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of f in the brackets [x1, x2], given the end values f1 and f2.
+
+    ``f(active, x)`` evaluates the bracket rows ``active`` at ``x``.
+    Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Software 28 (1997)
+    145-149): each step tries inverse quadratic interpolation through the
+    last three points where it is safe and bisects otherwise, keeping the
+    step half a tolerance away from either bracket end.  A row stops once
+    |f| at its better end is at most the smallest normal float (NaN, never
+    met, where an end value is infinite) or its bracket is narrower than
+    SOLVE_XTOL * (1 + |x|); it stops with an error when its ends share a sign
+    or its abscissae or both values are not numbers.  Finished rows leave
+    the active set.  The stopping tests, the clipping of t and the order of
+    every floating-point operation are fixed: the tests compare the roots
+    bit for bit with the reference solver whose loop this ports.  Returns
+    the root, f there and a status per row: 0 converged, -1 sign error,
+    -2 SOLVE_MAXITER steps reached, -3 value error.
+    """
+    n = len(x1)
+    root, f_root, status = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -2)
+    active = np.arange(n)
+    ftol = np.finfo(float).smallest_normal + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    x3 = f3 = None
+    t = 0.5
+    for nit in range(SOLVE_MAXITER + 1):
+        if nit:
+            x = x1 + t * (x2 - x1)
+            fx = f(active, x)
+            # x2 keeps the end whose sign differs from the new point; the
+            # other end becomes x3
+            same = np.sign(fx) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+        better = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(better, x1, x2), np.where(better, f1, f2)
+        code = np.where(np.abs(fmin) <= ftol, 0, 1)
+        code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
+        not_numbers = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        code[(code == 1) & not_numbers] = -3
+        xmin[code < 0] = fmin[code < 0] = np.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * SOLVE_XTOL + SOLVE_XTOL
+        code[dx < tol] = 0
+        stop = code != 1
+        if stop.any():
+            done, keep = active[stop], ~stop
+            root[done], f_root[done], status[done] = xmin[stop], fmin[stop], code[stop]
+            active = active[keep]
+            if not len(active):
+                break
+            x1, f1, x2, f2, ftol, dx, tol = (a[keep] for a in (x1, f1, x2, f2, ftol, dx, tol))
+            if nit:
+                x3, f3 = x3[keep], f3[keep]
+        if nit:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                interpolate = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(
+                    interpolate,
+                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    0.5,
+                )
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+    return root, f_root, status
+
+
 def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray:
     """Unique time tau with V(Phi^tau(x)) = c, for V strictly decreasing in t.
 
     ``x`` is one ``(dim,)`` state, giving a float, or an ``(N, dim)`` batch,
     giving one time per row.  Each row doubles a unit start bracket, [0, 1]
     or [-1, 0] by the sign of V(x) - c, up to |tau| <= 100 (backward, at most
-    to the domain bound sys.t_min(x)); then one Chandrupatla solve
-    (``scipy.optimize.elementwise.find_root``) refines every row to a bracket
-    width of 1e-14 * (1 + |tau|).  Each probe is one ``evolve`` call over the
-    rows still searching.  Satisfies the cocycle identity
+    to the domain bound sys.t_min(x)); then the in-house Chandrupatla loop
+    (``_chandrupatla``), seeded with the values the search found at both
+    ends, refines every row to a bracket width of 1e-14 * (1 + |tau|).  Each
+    probe and each solver iteration is one ``evolve`` call over the rows
+    still searching.  Satisfies the cocycle identity
     impact_time(Phi^t(x)) = impact_time(x) - t.  Errors are per row and
     raised for the whole batch: OnAttractor when some row has
     V(x) <= ATTRACTOR_TOL, BracketFailure when some row brackets no crossing,
@@ -137,14 +210,11 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
             "trajectory never crosses the level set"
         )
 
-    def g(tau, *coords):
+    def probe(rows, tau):
         # bracket probes may push the state to the edge of float range, where
         # V legitimately saturates to inf (still the right sign for the bracket)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.asarray(V(evolve(sys, join_coords(*coords), tau)), float) - c
-
-    def probe(rows, tau):
-        return g(tau, *X[rows].T)
+            return np.asarray(V(evolve(sys, X[rows], tau)), float) - c
 
     n = len(X)
     g0 = probe(np.arange(n), np.zeros(n))
@@ -152,11 +222,13 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
     forward, backward = g0 > 0, ~(g0 >= 0)
     lo = np.where(backward, -1.0, 0.0)
     hi = np.where(forward, 1.0, 0.0)
+    g_lo, g_hi = g0.copy(), g0.copy()
 
     searching = forward.copy()
     while searching.any():
         rows = np.flatnonzero(searching)
-        above = probe(rows, hi[rows]) > 0
+        g_hi[rows] = probe(rows, hi[rows])
+        above = g_hi[rows] > 0
         hi[rows[above]] *= 2.0
         if (hi[rows[above]] > MAX_BRACKET).any():
             raise BracketFailure(f"no crossing of level {c} within tau <= {MAX_BRACKET}")
@@ -172,29 +244,30 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
         lo[rows[at_bound]] = bound[at_bound] + np.maximum(np.abs(bound[at_bound]) * 1e-9, 1e-12)
         if (lo[rows[~at_bound]] < -MAX_BRACKET).any():
             raise BracketFailure(f"no crossing of level {c} within tau >= -{MAX_BRACKET}")
-        g_lo = probe(rows, lo[rows])
-        stuck = at_bound & (g_lo < 0)
+        g_lo[rows] = probe(rows, lo[rows])
+        stuck = at_bound & (g_lo[rows] < 0)
         if stuck.any():
             raise BracketFailure(
                 f"no crossing of level {c} above domain bound {bound[stuck][0]:.6g}"
             )
-        done = at_bound | (g_lo >= 0)
+        done = at_bound | (g_lo[rows] >= 0)
         lo[rows[~done]] *= 2.0
         searching[rows[done]] = False
 
     tau = np.zeros(n)
     residual = np.zeros(n)
-    solve = forward | backward
-    if solve.any():
-        result = scipy.optimize.elementwise.find_root(
-            g, (lo[solve], hi[solve]), args=tuple(X[solve].T),
-            tolerances={"xatol": 1e-14, "xrtol": 1e-14}, maxiter=200,
+    solve = np.flatnonzero(forward | backward)
+    if len(solve):
+        root, f_root, status = _chandrupatla(
+            lambda active, t: probe(solve[active], t),
+            lo[solve], g_lo[solve], hi[solve], g_hi[solve],
         )
-        if not result.success.all():
+        failed = status != 0
+        if failed.any():
             raise BracketFailure(
-                f"impact time solve did not converge: status {result.status[~result.success][0]}"
+                f"impact time solve did not converge: status {status[failed][0]}"
             )
-        tau[solve], residual[solve] = result.x, np.abs(result.f_x)
+        tau[solve], residual[solve] = root, np.abs(f_root)
     failed = ~(residual <= IMPACT_TOL)
     if failed.any():
         raise BracketFailure(
@@ -291,17 +364,25 @@ class TransverseData:
     in_U: Callable
 
 
+def _fd_probes(x) -> np.ndarray:
+    """The 2 * dim central-difference probes of every state: (..., dim) -> (..., 2 dim, dim)."""
+    x = np.asarray(x, dtype=float)
+    steps = FD_STEP * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
+
+
+def _fd_difference(values) -> np.ndarray:
+    """Jacobians (..., k, dim) from the images (..., 2 dim, k) of ``_fd_probes``."""
+    dim = values.shape[-2] // 2
+    return np.swapaxes(values[..., :dim, :] - values[..., dim:, :], -1, -2) / (2 * FD_STEP)
+
+
 def _fd_jacobian(f: Callable, x) -> np.ndarray:
     """Central-difference Jacobians of f with step FD_STEP: (..., dim) -> (..., k, dim).
 
     All 2 * dim probes of every state go through one call of f.
     """
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    steps = FD_STEP * np.eye(dim)
-    probes = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
-    values = np.asarray(f(probes), dtype=float)
-    return np.swapaxes(values[..., :dim, :] - values[..., dim:, :], -1, -2) / (2 * FD_STEP)
+    return _fd_difference(np.asarray(f(_fd_probes(x)), dtype=float))
 
 
 def _kernel_check(attractor, G):
@@ -441,6 +522,22 @@ class QualityReport:
     properness: dict
 
 
+def _rank_correlation(a, b) -> float:
+    """Spearman's rho: Pearson's correlation of the average ranks of a and b.
+
+    Tied values share the mean of the 1-based positions they span.  NaN, not
+    an exception, when either input is constant or holds a NaN.
+    """
+    data = np.column_stack([a, b]).astype(float)
+    if np.isnan(data).any() or (data == data[0]).all(axis=0).any():
+        return np.nan
+    ranks = []
+    for v in data.T:
+        s = np.sort(v)
+        ranks.append(0.5 * (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1))
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
+
+
 def verify_embedding_quality(
     cand: EmbeddingCandidate,
     sys: FlowSystem,
@@ -454,20 +551,23 @@ def verify_embedding_quality(
     image gives a NaN margin and a single state gives NaN (no evidence), and
     either is flagged.  The smallest singular value comes from a
     central-difference Jacobian with step FD_STEP at every state.
-    Properness is a probe, never a certificate.  F is called once each for
-    the images, the Jacobian probes and the escape states, and once more on
-    the first state alone: its image must match its batch row within
-    BATCH_TOL, so a map written for one state that reads its whole argument
-    is flagged instead of silently misreading a batch.
+    Properness is a probe, never a certificate.  F is called once for the
+    states and their Jacobian probes together, once for the escape states,
+    and once more on the first state alone: its image must match its batch
+    row within BATCH_TOL, so a map written for one state that reads its
+    whole argument is flagged instead of silently misreading a batch.
     """
     states = np.asarray(states, dtype=float)
-    images = np.asarray(cand.F(states), dtype=float)
+    n, dim = len(states), states.shape[-1]
+    probes = _fd_probes(states).reshape(-1, dim)
+    out = np.asarray(cand.F(np.concatenate([states, probes])), dtype=float)
+    images, probe_images = out[:n], out[n:].reshape(n, 2 * dim, out.shape[-1])
     disagreement = np.nan  # no state, no evidence
-    if len(states):
+    if n:
         diff = images[0] - np.asarray(cand.F(states[0]), dtype=float)
         disagreement = float(np.sqrt(np.vecdot(diff, diff)))
     margin = sys.chart.injectivity_margin(states, images)
-    sigmas = np.linalg.svd(_fd_jacobian(cand.F, states), compute_uv=False)[..., -1]
+    sigmas = np.linalg.svd(_fd_difference(probe_images), compute_uv=False)[..., -1]
     sigma_min = np.min(sigmas, initial=np.inf)
 
     properness = {"available": False}
@@ -479,7 +579,7 @@ def verify_embedding_quality(
             if len(options.escape_values) == len(norms)
             else list(range(len(norms)))
         )
-        rho = float(scipy.stats.spearmanr(values, norms).statistic)
+        rho = _rank_correlation(values, norms)
         growth = norms[-1] / max(norms[0], 1e-300)
         properness = {
             "available": True,

@@ -1,7 +1,10 @@
 """Dense linear-algebra primitives.
 
-Matrix exponentials of flow generators and brute-force
-rational-independence certificates for frequency vectors.
+Matrix exponentials of flow generators, block-diagonal assembly, positive
+definite solves and brute-force rational-independence certificates for
+frequency vectors.  ``matrix_exp`` and ``solve_positive_definite`` load their
+dense solver on first use; everything else in flowlin needs numpy alone, so
+importing flowlin loads no other numerical package.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FlowlinError
 
@@ -100,6 +102,8 @@ def matrix_exp(B, t) -> np.ndarray:
     giving a stack of shape ``t.shape + (k, k)``.  Raises ExpRangeError
     when a result overflows float64.
     """
+    import scipy.linalg
+
     gen = as_generator(B)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -112,6 +116,26 @@ def matrix_exp(B, t) -> np.ndarray:
             f"{np.linalg.norm(gen.entries, 1) * np.max(np.abs(t)):.3g}"
         )
     return result
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """Float matrix with the given 2-D blocks along its diagonal, in order."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+    rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]))
+    for b, r, c in zip(blocks, rows, cols):
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+    return out
+
+
+def solve_positive_definite(A, b) -> np.ndarray:
+    """X with A X = b for a symmetric positive definite A, by Cholesky.
+
+    Raises ``np.linalg.LinAlgError`` when A is not positive definite.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.solve(A, b, assume_a="pos")
 
 
 def _canonical_relation(k: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FlowlinError
 from .flows import torus_angles
-from .linalg import LinearGenerator, matrix_exp
+from .linalg import LinearGenerator, block_diag, matrix_exp
 
 __all__ = [
     "ArcSet",
@@ -314,7 +313,7 @@ def embedding_generator(spec: PinchedTorusSpec) -> LinearGenerator:
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     blocks = [TWO_PI * w * J for w in spec.omega]
     blocks.append(np.zeros((2 * spec.m, 2 * spec.m)))
-    return LinearGenerator(scipy.linalg.block_diag(*blocks))
+    return LinearGenerator(block_diag(*blocks))
 
 
 def sample_points(spec: PinchedTorusSpec, count: int, rng) -> list[PinchedPoint]:

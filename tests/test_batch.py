@@ -110,7 +110,8 @@ def test_impact_time_nan_row_is_a_bracket_failure():
     entry = catalog.get("log_radial")
     X = entry.sample_states(np.random.default_rng(14), 5)
     X[2, 0] = np.nan
-    with pytest.raises(BracketFailure):
+    # a NaN row brackets no crossing, so the search fails before any solve
+    with pytest.raises(BracketFailure, match=r"^no crossing of level 1.0 within tau >= -100.0$"):
         impact_time(entry.system, entry.lyapunov.V, 1.0, X)
 
 

@@ -64,7 +64,7 @@ def test_impact_time_negative_when_inside_level(log_radial):
 
 def test_bracket_failure_when_level_unreachable(log_radial):
     capped = lambda x: np.minimum(np.log(x[..., 0]) ** 2, 4.0)
-    with pytest.raises(BracketFailure):
+    with pytest.raises(BracketFailure, match=r"^no crossing of level 9.0 within tau >= -100.0$"):
         impact_time(log_radial.system, capped, 9.0, [2.0, 0.0])
 
 
@@ -109,6 +109,89 @@ def test_impact_time_evolve_budget(log_radial, monkeypatch):
     for x in states:
         impact_time(log_radial.system, V, c, x)
     assert len(calls) / len(states) <= 20
+
+
+def _find_root_reference(f, x1, f1, x2, f2):
+    """The solver the in-house loop ports: scipy's find_root at the same tolerances.
+
+    It evaluates both bracket ends again instead of taking f1 and f2.
+    """
+    find_root = pytest.importorskip("scipy.optimize.elementwise").find_root
+    result = find_root(
+        lambda x, rows: f(rows, x), (x1, x2), args=(np.arange(len(x1)),),
+        tolerances={"xatol": embed.SOLVE_XTOL, "xrtol": embed.SOLVE_XTOL},
+        maxiter=embed.SOLVE_MAXITER,
+    )
+    return result.x, result.f_x, result.status
+
+
+@pytest.mark.parametrize("name", ["log_radial", "product_attractor"])
+def test_chandrupatla_matches_find_root_bit_for_bit(name, monkeypatch):
+    solves = []
+
+    def both(f, x1, f1, x2, f2):
+        ours = own(f, x1, f1, x2, f2)
+        solves.append((ours, _find_root_reference(f, x1, f1, x2, f2)))
+        return ours
+
+    own = embed._chandrupatla
+    monkeypatch.setattr(embed, "_chandrupatla", both)
+    entry = catalog.get(name)
+    X = entry.sample_states(np.random.default_rng(2024), 2000)
+    impact_time(entry.system, entry.lyapunov.V, entry.lyapunov.level, X)
+    (root, f_root, status), (ref_root, ref_f, ref_status) = solves[0]
+    assert len(root) > 1000
+    assert np.array_equal(status, ref_status) and (status == 0).all()
+    assert np.array_equal(root, ref_root) and np.array_equal(f_root, ref_f)
+
+
+def test_chandrupatla_statuses_match_find_root(monkeypatch):
+    # rows: a root inside, ends of one sign, a root at an end, NaN at both ends
+    c = np.array([0.3, 5.0, 0.0, np.nan])
+
+    def f(rows, x):
+        return c[rows] - x**3
+
+    x1, x2 = np.zeros(4), np.ones(4)
+    args = (x1, f(np.arange(4), x1), x2, f(np.arange(4), x2))
+    for maxiter, expected in ((embed.SOLVE_MAXITER, [0, -1, 0, -3]), (3, [-2, -1, 0, -3])):
+        monkeypatch.setattr(embed, "SOLVE_MAXITER", maxiter)
+        root, _, status = embed._chandrupatla(f, *args)
+        ref_root, _, ref_status = _find_root_reference(f, *args)
+        assert status.tolist() == ref_status.tolist() == expected
+        done = status == 0
+        assert np.array_equal(root[done], ref_root[done])
+
+
+def test_impact_time_maxiter_exhaustion_is_a_bracket_failure(log_radial, monkeypatch):
+    monkeypatch.setattr(embed, "SOLVE_MAXITER", 3)
+    X = log_radial.sample_states(np.random.default_rng(17), 4)
+    with pytest.raises(BracketFailure, match=r"^impact time solve did not converge: status -2$"):
+        impact_time(log_radial.system, log_radial.lyapunov.V, log_radial.lyapunov.level, X)
+
+
+# --- properness probe ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.random.default_rng(3).random(9), np.random.default_rng(4).random(9)),
+        ([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0], [0.1, 0.4, 0.3, 0.3, 0.9, 0.2, 0.9]),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [9.0, 7.0, 5.0, 3.0, 1.0]),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 4.0, np.inf, 8.0]),
+    ],
+    ids=["random", "tied", "reversed", "infinite"],
+)
+def test_rank_correlation_matches_spearmanr(a, b):
+    spearmanr = pytest.importorskip("scipy.stats").spearmanr
+    assert abs(embed._rank_correlation(a, b) - spearmanr(a, b).statistic) <= 1e-15
+
+
+def test_rank_correlation_of_constant_or_nan_input_is_nan():
+    assert np.isnan(embed._rank_correlation([0, 1, 2, 3], [2.0, 2.0, 2.0, 2.0]))
+    assert np.isnan(embed._rank_correlation([1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0]))
+    assert np.isnan(embed._rank_correlation([0, 1, 2, 3], [0.0, np.nan, 2.0, 3.0]))
 
 
 # --- topological builder ---------------------------------------------------------

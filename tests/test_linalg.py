@@ -10,8 +10,10 @@ from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
     LinearGenerator,
+    block_diag,
     matrix_exp,
     rational_independence,
+    solve_positive_definite,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -98,6 +100,27 @@ def test_generator_validation():
         LinearGenerator(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         LinearGenerator(np.array([[np.inf]]))
+
+
+# --- block-diagonal assembly and positive definite solves ------------------------
+
+
+def test_block_diag_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    blocks = (2.5 * ROT, np.zeros((1, 1)), -np.eye(1), np.arange(6.0).reshape(2, 3), [[7.0]])
+    ours = block_diag(*blocks)
+    assert ours.dtype == np.float64
+    assert np.array_equal(ours, scipy_linalg.block_diag(*blocks))
+    assert np.array_equal(block_diag(ROT), ROT)
+
+
+def test_solve_positive_definite():
+    rng = np.random.default_rng(21)
+    M = rng.normal(size=(4, 4))
+    A, b = M @ M.T + 4 * np.eye(4), rng.normal(size=(4, 2))
+    np.testing.assert_allclose(A @ solve_positive_definite(A, b), b, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_positive_definite(-np.eye(3), np.ones(3))
 
 
 # --- invariant subspaces of attractor generators ----------------------------------
