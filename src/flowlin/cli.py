@@ -445,11 +445,9 @@ def _cmd_pinched(args) -> int:
                 theta0 = np.array(json.load(fh)["theta"], dtype=float)
         except (OSError, ValueError, KeyError) as err:
             raise UsageError(f"could not load start point: {err}") from err
-        p = pinched.make_point(spec, theta0)
         times = np.linspace(0.0, args.tmax, args.steps)
-        states = np.array(
-            [pinched.canonical_embedding(spec, pinched.flow(spec, p, float(t))) for t in times]
-        )
+        orbit = pinched.flow(spec, pinched.make_point(spec, theta0), times)
+        states = pinched.canonical_embedding(spec, orbit)
         export_trajectory_csv(Trajectory(times, states), args.out)
         return 0
 

@@ -6,6 +6,10 @@ catalog's linearizability verdicts: a large residual may just mean a poor
 dictionary, so the EXPECTED label is only attached when the system is known
 to admit no linearizing embedding and the phase estimator certifies the
 divergence.
+
+Dictionaries follow the flows batch convention: ``evaluate`` maps an
+``(N, dim)`` batch of states, coordinates read as ``x[..., i]``, to the
+``(N, D)`` matrix of observable values, one row per state.
 """
 
 from __future__ import annotations
@@ -45,19 +49,27 @@ DIVERGENCE_SCHEDULE = GeometricSchedule(1.0, 2.0, 12)
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Finite set of observables evaluated as a vector Psi(x) in R^D."""
+    """Finite set of observables: ``evaluate`` maps (N, dim) states to Psi, (N, D)."""
 
     kind: str
-    size: int
-    evaluate: Callable  # state -> (D,) array
+    evaluate: Callable  # (N, dim) batch -> (N, D) array
     labels: tuple
 
-    def __post_init__(self):
-        if self.size != len(self.labels):
-            raise ValueError("label count must match dictionary size")
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
     def matrix(self, states: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(x) for x in np.asarray(states, float)])
+        """Psi of every row of ``states``; a map that breaks the batch convention raises."""
+        states = np.asarray(states, float)
+        out = np.asarray(self.evaluate(states), dtype=float)
+        if out.shape != (len(states), self.size):
+            raise FlowlinError(
+                f"{self.kind} dictionary mapped states of shape {states.shape} to shape "
+                f"{out.shape}, expected {(len(states), self.size)}; it must act row-wise "
+                "on batches"
+            )
+        return out
 
 
 def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:
@@ -65,24 +77,24 @@ def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:
     angle_coords = [i for i, p in enumerate(chart.wraps) if p is not None]
     if not angle_coords:
         raise ValueError("fourier dictionary needs at least one angle coordinate")
-    terms = []
-    labels = []
+    coords, rates, labels = [], [], []
     for i in angle_coords:
         period = chart.wraps[i]
         for k in range(1, degree + 1):
-            terms.append((i, 2.0 * np.pi * k / period))
+            coords.append(i)
+            rates.append(2.0 * np.pi * k / period)
             labels.append(f"cos({k}*x{i + 1})")
             labels.append(f"sin({k}*x{i + 1})")
+    rates = np.array(rates)
 
     def evaluate(x):
-        x = np.asarray(x, float)
-        out = np.empty(2 * len(terms))
-        for j, (i, rate) in enumerate(terms):
-            out[2 * j] = np.cos(rate * x[i])
-            out[2 * j + 1] = np.sin(rate * x[i])
+        ang = rates * np.asarray(x, float)[..., coords]
+        out = np.empty(ang.shape[:-1] + (2 * len(rates),))
+        out[..., 0::2] = np.cos(ang)
+        out[..., 1::2] = np.sin(ang)
         return out
 
-    return Dictionary("fourier", 2 * len(terms), evaluate, tuple(labels))
+    return Dictionary("fourier", evaluate, tuple(labels))
 
 
 def monomial_dictionary(dim: int, degree: int) -> Dictionary:
@@ -93,25 +105,21 @@ def monomial_dictionary(dim: int, degree: int) -> Dictionary:
         p for p in iproduct(range(degree + 1), repeat=dim) if sum(p) <= degree
     ]
     powers.sort(key=lambda p: (sum(p), p))
+    exponents = np.array(powers)
 
     def evaluate(x):
-        x = np.asarray(x, float)
-        return np.array([np.prod(x**np.array(p)) for p in powers])
+        return np.prod(np.asarray(x, float)[..., None, :] ** exponents, axis=-1)
 
     labels = tuple(
         "1" if sum(p) == 0 else "*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e)
         for p in powers
     )
-    return Dictionary("monomial", len(powers), evaluate, labels)
+    return Dictionary("monomial", evaluate, labels)
 
 
-def custom_dictionary(maps: Sequence[Callable], labels: Sequence[str]) -> Dictionary:
-    maps = list(maps)
-
-    def evaluate(x):
-        return np.array([float(f(x)) for f in maps])
-
-    return Dictionary("custom", len(maps), evaluate, tuple(labels))
+def custom_dictionary(F: Callable, labels: Sequence[str]) -> Dictionary:
+    """Observables of one batch map ``F: (N, dim) -> (N, D)``, D = len(labels)."""
+    return Dictionary("custom", F, tuple(labels))
 
 
 @dataclass(frozen=True, eq=False)

@@ -238,8 +238,9 @@ def quasiperiodic_factor_certificate(
 
     Requires rationally independent frequencies (up to max_coeff) and
     Fmap(Phi^t(x)) = omega*t + Fmap(x) mod 1 on n_samples uniform states of
-    the torus chart and times in [-10, 10].  The certificate is explicitly
-    relative to the coefficient bound and the sample set.
+    the torus chart and times in [-10, 10].  Fmap maps an (N, n) batch of
+    states to their (N, n) torus angles, one row per state.  The certificate
+    is explicitly relative to the coefficient bound and the sample set.
     """
     w = as_frequency_vector(omega).omega
     n = len(w)
@@ -265,13 +266,9 @@ def quasiperiodic_factor_certificate(
     states = rng.random((n_samples, n)) * periods
     times = rng.uniform(-10.0, 10.0, n_samples)
 
-    torus = torus_angles(n)
-    residuals = []
-    for x, t in zip(states, times):
-        lhs = np.asarray(Fmap(evolve(sys, x, float(t))), dtype=float)
-        rhs = np.mod(np.asarray(Fmap(np.asarray(x, float)), dtype=float) + w * float(t), 1.0)
-        residuals.append(torus.distance(lhs, rhs))
-    worst = float(np.max(residuals, initial=0.0))
+    lhs = np.asarray(Fmap(evolve(sys, states, times)), dtype=float)
+    rhs = np.mod(np.asarray(Fmap(states), dtype=float) + np.multiply.outer(times, w), 1.0)
+    worst = float(np.max(torus_angles(n).distances(lhs, rhs), initial=0.0))
     # a NaN residual refuses the certificate
     if not worst <= tol:
         return Verdict(

@@ -133,9 +133,7 @@ def _gap_ok(g_next: float, g_prev: float) -> bool:
 
 
 def _classify(chart, estimates: np.ndarray) -> Classification:
-    gaps = np.array(
-        [chart.distance(estimates[i + 1], estimates[i]) for i in range(len(estimates) - 1)]
-    )
+    gaps = chart.distances(estimates[1:], estimates[:-1])
     drift = {
         "gaps": gaps.tolist(),
         "first_gap": float(gaps[0]) if len(gaps) else 0.0,

@@ -8,6 +8,12 @@ to a block-rotation linear flow exactly, because the base point never moves.
 
 Base regions and loci are finite unions of closed coordinate-arc products
 with exact rational endpoints, so membership is decidable.
+
+Family points follow the flows batch convention, one point per row, as three
+arrays ``(theta, base, mask)``: ``theta (N, n)`` canonical angles with the
+collapsed coordinates at 0, ``base (N, m)`` = M theta mod 1, computed once and
+carried by the flow, and the collapse ``mask (N, n)``.  A single point is the
+N = 1 case with the leading axis dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .linalg import LinearGenerator, block_diag, matrix_exp
 __all__ = [
     "ArcSet",
     "PinchedTorusSpec",
-    "PinchedPoint",
     "KernelDirection",
     "NotInFamily",
     "kernel_direction",
@@ -52,7 +57,9 @@ class ArcSet:
     """Finite union of products of closed arcs on T^m, rational endpoints.
 
     Boxes are tuples of (lo, hi) Fraction pairs with 0 <= lo <= hi <= 1;
-    lo == hi describes a single point in that coordinate.
+    lo == hi describes a single point in that coordinate.  ``lo`` and ``hi``
+    hold their float values, shape (boxes, m), for the batched membership
+    and distance tests, which take points of shape (..., m).
     """
 
     def __init__(self, boxes, m: int):
@@ -69,49 +76,36 @@ class ArcSet:
             parsed.append(tuple(arcs))
         self.boxes = tuple(parsed)
         self.m = m
+        ends = np.array(self.boxes, dtype=float).reshape(len(self.boxes), m, 2)
+        self.lo, self.hi = ends[..., 0], ends[..., 1]  # (boxes, m)
 
     @property
     def empty(self) -> bool:
         return len(self.boxes) == 0
 
-    def contains(self, point: np.ndarray) -> bool:
-        point = np.mod(np.asarray(point, dtype=float), 1.0)
-        for box in self.boxes:
-            ok = True
-            for x, (lo, hi) in zip(point, box):
-                inside = float(lo) <= x <= float(hi)
-                # arcs touching both endpoints of the circle wrap through 0 == 1
-                if lo == 0 and x == 0.0:
-                    inside = True
-                if hi == 1 and x == 0.0:
-                    inside = True
-                if not inside:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    def _arcs(self, points):
+        """Points of T^m reduced to [0, 1), shaped (..., 1, m) against the boxes."""
+        x = np.mod(np.asarray(points, dtype=float), 1.0)[..., None, :]
+        return x, (self.lo <= x) & (x <= self.hi)
 
-    def distance(self, point: np.ndarray) -> float:
-        """Product-metric circle distance from a point of T^m to the set."""
+    def contains(self, points) -> np.ndarray:
+        """Membership of each point of T^m, shape (..., m) -> (...)."""
+        x, inside = self._arcs(points)
+        # arcs touching 1 wrap through 0 == 1
+        inside |= (self.hi == 1.0) & (x == 0.0)
+        return np.any(np.all(inside, axis=-1), axis=-1)
+
+    def distance(self, points) -> np.ndarray:
+        """Product-metric circle distance from each point of T^m to the set, (..., m) -> (...)."""
         if self.empty:
             raise ValueError("distance to the empty set is undefined")
-        point = np.mod(np.asarray(point, dtype=float), 1.0)
-        best = np.inf
-        for box in self.boxes:
-            total = 0.0
-            for x, (lo, hi) in zip(point, box):
-                flo, fhi = float(lo), float(hi)
-                if flo <= x <= fhi:
-                    d = 0.0
-                else:
-                    d = min(
-                        min(abs(x - flo), 1.0 - abs(x - flo)),
-                        min(abs(x - fhi), 1.0 - abs(x - fhi)),
-                    )
-                total += d * d
-            best = min(best, total)
-        return float(np.sqrt(best))
+        x, inside = self._arcs(points)
+        to_lo, to_hi = np.abs(x - self.lo), np.abs(x - self.hi)
+        d = np.minimum(np.minimum(to_lo, 1.0 - to_lo), np.minimum(to_hi, 1.0 - to_hi))
+        d = np.where(inside, 0.0, d)
+        # squares summed coordinate after coordinate, in order
+        total = sum(dk * dk for dk in np.moveaxis(d, -1, 0))
+        return np.sqrt(np.min(total, axis=-1))
 
     def subset_of(self, other: "ArcSet") -> bool:
         """Conservative containment: every box fits inside a single box of other."""
@@ -250,62 +244,53 @@ def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorus
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PinchedPoint:
-    """Canonical representative: collapsed coordinates are pinned to zero.
+def make_point(spec: PinchedTorusSpec, theta):
+    """Family points ``(theta, base, mask)`` of raw angles ``theta`` (N, n).
 
-    The base point M theta mod 1 is stored once and kept exactly fixed by the
-    flow (omega lies in the kernel of M), so the collapse mask never changes.
+    Raises NotInFamily, naming the first offending base point, if some
+    M theta mod 1 lies outside the base region.
     """
-
-    theta: np.ndarray
-    base: np.ndarray
-    collapsed_mask: tuple
-
-
-def _canonical_theta(theta: np.ndarray, mask) -> np.ndarray:
-    out = np.mod(np.asarray(theta, dtype=float), 1.0)
-    for j, collapsed in enumerate(mask):
-        if collapsed:
-            out[j] = 0.0
-    return out
-
-
-def make_point(spec: PinchedTorusSpec, theta) -> PinchedPoint:
     theta = np.mod(np.asarray(theta, dtype=float), 1.0)
-    base = np.mod(spec.M @ theta, 1.0)
-    if not spec.base_region.contains(base):
-        raise NotInFamily(f"base point {base} outside the base region")
-    mask = tuple(
-        (not locus.empty) and locus.contains(base) for locus in spec.pinch_loci
+    base = np.mod(theta @ spec.M.T, 1.0)
+    outside = ~spec.base_region.contains(base)
+    if np.any(outside):
+        raise NotInFamily(f"base point {base[outside][0]} outside the base region")
+    mask = np.stack([locus.contains(base) for locus in spec.pinch_loci], axis=-1)
+    return np.where(mask, 0.0, theta), base, mask
+
+
+def flow(spec: PinchedTorusSpec, point, t):
+    """Translate theta by omega * t, one time per row.
+
+    omega lies in the kernel of M, so the base point stays exactly fixed:
+    base and mask are carried, never recomputed from the flowed theta.
+    """
+    theta, base, mask = point
+    theta = np.mod(theta + spec.omega * np.asarray(t, dtype=float)[..., None], 1.0)
+    lead = theta.shape[:-1]
+    return (
+        np.where(mask, 0.0, theta),
+        np.broadcast_to(base, lead + base.shape[-1:]),
+        np.broadcast_to(mask, theta.shape),
     )
-    return PinchedPoint(_canonical_theta(theta, mask), base, mask)
 
 
-def flow(spec: PinchedTorusSpec, p: PinchedPoint, t: float) -> PinchedPoint:
-    """Translate theta by omega * t; the base and collapse mask are invariant."""
-    theta = np.mod(p.theta + spec.omega * t, 1.0)
-    return PinchedPoint(_canonical_theta(theta, p.collapsed_mask), p.base, p.collapsed_mask)
+def canonical_embedding(spec: PinchedTorusSpec, point) -> np.ndarray:
+    """Product-polar-coordinate embedding into R^{2(n+m)} (C^n x C^m), one row per point.
 
-
-def _embed_parts(spec: PinchedTorusSpec, theta: np.ndarray, base: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * (spec.n + spec.m))
-    for j in range(spec.n):
-        locus = spec.pinch_loci[j]
-        rho = 1.0 if locus.empty else locus.distance(base)
-        ang = TWO_PI * theta[j]
-        out[2 * j] = rho * np.cos(ang)
-        out[2 * j + 1] = rho * np.sin(ang)
-    for k in range(spec.m):
-        ang = TWO_PI * base[k]
-        out[2 * spec.n + 2 * k] = np.cos(ang)
-        out[2 * spec.n + 2 * k + 1] = np.sin(ang)
+    Reads only theta and base, so a raw (non-canonical) theta with the
+    point's base embeds the representative it names.
+    """
+    theta, base, _ = point
+    ang = TWO_PI * np.concatenate([theta, base], axis=-1)
+    rho = np.ones(ang.shape)
+    for j, locus in enumerate(spec.pinch_loci):
+        if not locus.empty:
+            rho[..., j] = locus.distance(base)
+    out = np.empty(ang.shape[:-1] + (2 * ang.shape[-1],))
+    out[..., 0::2] = rho * np.cos(ang)
+    out[..., 1::2] = rho * np.sin(ang)
     return out
-
-
-def canonical_embedding(spec: PinchedTorusSpec, p: PinchedPoint) -> np.ndarray:
-    """Product-polar-coordinate embedding into R^{2(n+m)} (C^n x C^m)."""
-    return _embed_parts(spec, p.theta, p.base)
 
 
 def embedding_generator(spec: PinchedTorusSpec) -> LinearGenerator:
@@ -316,20 +301,22 @@ def embedding_generator(spec: PinchedTorusSpec) -> LinearGenerator:
     return LinearGenerator(block_diag(*blocks))
 
 
-def sample_points(spec: PinchedTorusSpec, count: int, rng) -> list[PinchedPoint]:
-    """Rejection-sample family points (uniform theta conditioned on the base region)."""
-    points = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+def sample_points(spec: PinchedTorusSpec, count: int, rng):
+    """Rejection-sample family points (uniform theta conditioned on the base region).
+
+    Each round draws as many rows as are still needed, so the stream of
+    draws is the same as one ``rng.random(n)`` per attempt.
+    """
+    kept = np.empty((0, spec.n))
+    budget = 1000 * count
+    while len(kept) < count:
+        if budget == 0:
             raise ValueError("rejection sampling failed; base region too small")
-        theta = rng.random(spec.n)
-        try:
-            points.append(make_point(spec, theta))
-        except NotInFamily:
-            continue
-    return points
+        theta = rng.random((min(count - len(kept), budget), spec.n))
+        budget -= len(theta)
+        inside = spec.base_region.contains(theta @ spec.M.T)
+        kept = np.concatenate([kept, theta[inside]])
+    return make_point(spec, kept)
 
 
 @dataclass(frozen=True)
@@ -353,15 +340,14 @@ def verify_family(
         raise ValueError("need at least 100 samples")
     rng = rng or np.random.default_rng(3)
     points = sample_points(spec, n_samples, rng)
+    theta, base, _ = points
     B = embedding_generator(spec)
 
-    residuals = []
-    for p in points:
-        t = float(rng.uniform(-5.0, 5.0))
-        lhs = canonical_embedding(spec, flow(spec, p, t))
-        rhs = matrix_exp(B, t) @ canonical_embedding(spec, p)
-        residuals.append(np.linalg.norm(lhs - rhs))
-    worst = float(np.max(residuals, initial=0.0))
+    times = rng.uniform(-5.0, 5.0, n_samples)
+    embeds = canonical_embedding(spec, points)
+    lhs = canonical_embedding(spec, flow(spec, points, times))
+    diff = lhs - (matrix_exp(B, times) @ embeds[..., None])[..., 0]
+    worst = float(np.max(np.sqrt(np.vecdot(diff, diff)), initial=0.0))
 
     # quotient consistency: raw representatives that differ only in collapsed
     # coordinates must embed identically (their z_j factors carry rho_j = 0)
@@ -374,45 +360,40 @@ def verify_family(
             theta0 = _solve_fiber(spec, base_target)
             if theta0 is None:
                 continue
-            for _ in range(10):
-                a, b = rng.random(2)
-                ta, tb = theta0.copy(), theta0.copy()
-                ta[locus_index], tb[locus_index] = a, b
-                pa, pb = make_point(spec, ta), make_point(spec, tb)
-                if not pa.collapsed_mask[locus_index]:
-                    continue  # fiber solve missed the locus in floating point
-                ea = _embed_parts(spec, np.mod(ta, 1.0), pa.base)
-                eb = _embed_parts(spec, np.mod(tb, 1.0), pb.base)
-                if not (
-                    np.array_equal(ea, eb)
-                    and np.array_equal(canonical_embedding(spec, pa), ea)
-                ):
-                    consistent = False
+            # trial i sets the collapsed angle to a_i in raw[0] and b_i in raw[1],
+            # with (a_i, b_i) the draws of the i-th of ten rng.random(2) calls
+            raw = np.tile(theta0, (2, 10, 1))
+            raw[..., locus_index] = rng.random((10, 2)).T
+            # a fiber solve can also leave S in floating point: skip those trials
+            raw = raw[:, np.all(spec.base_region.contains(raw @ spec.M.T), axis=0)]
+            pa, pb = make_point(spec, raw[0]), make_point(spec, raw[1])
+            ea = canonical_embedding(spec, (raw[0], *pa[1:]))
+            eb = canonical_embedding(spec, (raw[1], *pb[1:]))
+            ec = canonical_embedding(spec, pa)
+            agree = np.all(ea == eb, axis=-1) & np.all(ec == ea, axis=-1)
+            # rows whose fiber solve missed the locus in floating point are skipped
+            if not np.all(agree[pa[2][:, locus_index]]):
+                consistent = False
 
-    embeds = np.array([canonical_embedding(spec, p) for p in points])
-    flat = embeds.reshape(len(points), -1)
-    thetas = np.array([p.theta for p in points])
-    bases = np.array([p.base for p in points])
     # torus distance on canonical coordinates; only an exact quotient metric
-    # away from the pinch loci, so the ratio is a probe there
+    # away from the pinch loci, so the ratio is a probe there.  Each point is
+    # compared with the next 39, one offset k at a time over the whole batch.
     torus = torus_angles(spec.n)
     min_sep = np.inf
     min_ratio = np.inf
-    for i in range(len(points)):
-        window = slice(i + 1, min(i + 40, len(points)))
-        same = np.all(thetas[window] == thetas[i], axis=1) & np.all(
-            bases[window] == bases[i], axis=1
-        )
-        diff = flat[i] - flat[window][~same]
+    for k in range(1, 40):
+        a, b = slice(None, n_samples - k), slice(k, None)
+        apart = ~(np.all(theta[a] == theta[b], axis=1) & np.all(base[a] == base[b], axis=1))
+        diff = embeds[a][apart] - embeds[b][apart]
         sep = np.sqrt(np.vecdot(diff, diff))
         # np.min keeps a NaN separation, so the `> 0` gate below fails on it
         min_sep = float(np.min(sep, initial=min_sep))
-        dist = torus.distances(thetas[i], thetas[window][~same])
+        dist = torus.distances(theta[a][apart], theta[b][apart])
         min_ratio = float(np.min(sep[dist > 1e-12] / dist[dist > 1e-12], initial=min_ratio))
 
-    radius = float(np.max(np.linalg.norm(embeds.reshape(len(points), -1, 2), axis=2)))
+    radius = float(np.max(np.linalg.norm(embeds.reshape(n_samples, -1, 2), axis=2)))
     passed = worst <= LINEARITY_TOL and consistent and min_sep > 0.0
-    return FamilyReport(worst, consistent, min_sep, min_ratio, radius, len(points), passed)
+    return FamilyReport(worst, consistent, min_sep, min_ratio, radius, n_samples, passed)
 
 
 def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):

@@ -1,5 +1,7 @@
 """State batches: every batched path agrees bit for bit with one state at a time."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +176,61 @@ def test_lockstep_snapshots_match_pair_by_pair_loop(name, count):
     X, Y = _snapshots_pair_by_pair(entry.system, starts, 0.1, count)
     np.testing.assert_array_equal(snaps.X, X)
     np.testing.assert_array_equal(snaps.Y, Y)
+
+
+def _fourier_reference(chart, degree, x):
+    """Reference: the harmonics of one state, one scalar term at a time."""
+    out = []
+    for i, period in enumerate(chart.wraps):
+        if period is not None:
+            for k in range(1, degree + 1):
+                rate = 2.0 * np.pi * k / period
+                out += [np.cos(rate * x[i]), np.sin(rate * x[i])]
+    return out
+
+
+def _monomial_reference(powers, x):
+    """Reference: one monomial of one state at a time."""
+    return [np.prod(x ** np.array(p)) for p in powers]
+
+
+@pytest.mark.parametrize("name", ["klein_bottle", "quasiperiodic_torus_3", "annulus_cubic"])
+def test_fourier_dictionary_batch_matches_each_row(name):
+    entry = catalog.get(name)
+    d = edmd.fourier_dictionary(entry.system.chart, 3)
+    X = entry.sample_states(np.random.default_rng(17), 40)
+    P = d.matrix(X)
+    assert P.shape == (40, d.size)
+    for i in range(len(X)):
+        np.testing.assert_array_equal(P[i], d.evaluate(X[i]))
+        np.testing.assert_array_equal(P[i], _fourier_reference(entry.system.chart, 3, X[i]))
+
+
+@pytest.mark.parametrize("name", ["annulus_cubic", "sphere_rotation"])
+def test_monomial_dictionary_batch_matches_each_row(name):
+    entry = catalog.get(name)
+    dim = entry.system.chart.dim
+    d = edmd.monomial_dictionary(dim, 3)
+    powers = sorted(
+        (p for p in product(range(4), repeat=dim) if sum(p) <= 3), key=lambda p: (sum(p), p)
+    )
+    X = entry.sample_states(np.random.default_rng(18), 40)
+    P = d.matrix(X)
+    assert P.shape == (40, d.size) == (40, len(powers))
+    for i in range(len(X)):
+        np.testing.assert_array_equal(P[i], d.evaluate(X[i]))
+        np.testing.assert_array_equal(P[i], _monomial_reference(powers, X[i]))
+
+
+@pytest.mark.parametrize(
+    "name, key", [("annulus_cubic", "polar_fourier_5"), ("log_radial", "exact_lift")]
+)
+def test_catalog_custom_dictionary_batch_matches_each_row(name, key):
+    entry = catalog.get(name)
+    labels, F = entry.custom_observables[key]
+    d = edmd.custom_dictionary(F, labels)
+    X = entry.sample_states(np.random.default_rng(19), 40)
+    P = d.matrix(X)
+    assert P.shape == (40, len(labels))
+    for i in range(len(X)):
+        np.testing.assert_array_equal(P[i], d.evaluate(X[i]))

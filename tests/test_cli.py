@@ -107,9 +107,9 @@ def test_pinched_nan_separation_fails(tmp_path, monkeypatch):
     # keep the NaN instead of stepping over it
     canonical = pinched.canonical_embedding
 
-    def patchy(spec, p):
-        out = canonical(spec, p)
-        return np.full_like(out, np.nan) if p.theta[0] < 0.05 else out
+    def patchy(spec, point):
+        out = canonical(spec, point)
+        return np.where((point[0][..., 0] < 0.05)[..., None], np.nan, out)
 
     monkeypatch.setattr(pinched, "canonical_embedding", patchy)
     spec_path = tmp_path / "single.json"
@@ -240,6 +240,17 @@ def test_edmd_command(tmp_path):
 def test_edmd_unknown_dictionary(tmp_path):
     assert run(["edmd", "--system", "log_radial", "--dict", "custom:missing",
                 "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_edmd_single_state_custom_map_exits_2(tmp_path, monkeypatch, capsys):
+    # written for one state, the map returns the first row of a batch
+    observables = catalog.get("log_radial").custom_observables
+    monkeypatch.setitem(observables, "first_row", (["r", "theta"], lambda x: x[0]))
+    out = tmp_path / "x.json"
+    assert run(["edmd", "--system", "log_radial", "--dict", "custom:first_row",
+                "--pairs", "200", "--out", str(out)]) == 2
+    assert "must act row-wise on batches" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowlin import catalog, edmd
+from flowlin.errors import FlowlinError
 from flowlin.linalg import matrix_exp
 
 
@@ -99,8 +100,7 @@ def test_orthogonal_dictionary_change_conjugates_operator():
     snaps = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 10), 0.1, 300)
     Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     rotated = edmd.custom_dictionary(
-        [lambda x, i=i: float(Q[i] @ d.evaluate(x)) for i in range(4)],
-        [f"q{i}" for i in range(4)],
+        lambda x: d.evaluate(x) @ Q.T, [f"q{i}" for i in range(4)]
     )
     K_plain = edmd.fit(d, snaps, ridge=0.0).K
     K_rot = edmd.fit(rotated, snaps, ridge=0.0).K
@@ -112,9 +112,7 @@ def test_measure_preserving_spectrum_on_unit_circle():
     for name in ("quasiperiodic_torus_1", "sphere_rotation"):
         entry = catalog.get(name)
         if name == "sphere_rotation":
-            labels = ["zx", "zy", "s"]
-            maps = [lambda x, i=i: float(x[i]) for i in range(3)]
-            d = edmd.custom_dictionary(maps, labels)
+            d = edmd.custom_dictionary(lambda x: np.array(x), ["zx", "zy", "s"])
         else:
             d = edmd.fourier_dictionary(entry.system.chart, 1)
         snaps = edmd.collect_snapshots(entry.system, entry.sample_states(rng, 10), 0.1, 200)
@@ -190,3 +188,13 @@ def test_report_deterministic_for_fixed_seed():
         return json.dumps(diag, sort_keys=True)
 
     assert run() == run()
+
+
+def test_single_state_custom_map_raises():
+    # x[0] is the first state of a batch, not the first coordinate of a state
+    d = edmd.custom_dictionary(lambda x: x[0], ["r", "theta"])
+    X = catalog.get("log_radial").sample_states(np.random.default_rng(69), 5)
+    with pytest.raises(FlowlinError, match=r"shape \(5, 2\) to shape \(2,\), expected \(5, 2\)"):
+        d.matrix(X)
+    # the batch form of the same observables passes
+    np.testing.assert_array_equal(edmd.custom_dictionary(lambda x: x, ["r", "theta"]).matrix(X), X)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowlin.linalg import matrix_exp
 from flowlin.pinched import (
+    LINEARITY_TOL,
     ArcSet,
     NotInFamily,
     canonical_embedding,
@@ -15,6 +18,7 @@ from flowlin.pinched import (
     load_spec,
     make_point,
     make_spec,
+    sample_points,
     spec_to_dict,
     verify_family,
 )
@@ -78,7 +82,7 @@ def test_kernel_vectors_annihilated_exactly():
 def test_pinch_point_embedding_collapses_fiber():
     spec = single_pinch_spec()
     p = make_point(spec, [0.25, 0.0])
-    assert p.collapsed_mask == (True, False)
+    np.testing.assert_array_equal(p[2], [True, False])  # the collapse mask
     emb = canonical_embedding(spec, p)
     np.testing.assert_array_equal(emb[:2], [0.0, 0.0])  # z_1 = 0 at the pinch
     np.testing.assert_allclose(emb[4:], [1.0, 0.0])  # w = 1
@@ -100,12 +104,12 @@ def test_regular_fiber_embedding_value():
 def test_flow_identity_and_period():
     spec = single_pinch_spec()
     p = make_point(spec, [0.0, 0.5])
-    q = flow(spec, p, 0.0)
-    np.testing.assert_array_equal(q.theta, p.theta)
-    moved = flow(spec, p, 1.0 / np.sqrt(2.0))
-    d = abs(moved.theta[0] - 0.0)
+    theta, _, _ = flow(spec, p, 0.0)
+    np.testing.assert_array_equal(theta, p[0])
+    moved, _, _ = flow(spec, p, 1.0 / np.sqrt(2.0))
+    d = abs(moved[0] - 0.0)
     assert min(d, 1.0 - d) <= 1e-15
-    assert moved.theta[1] == 0.5
+    assert moved[1] == 0.5
 
 
 def test_collapsed_point_is_flow_fixed():
@@ -129,6 +133,54 @@ def test_embedding_linearity_exact():
         rhs = matrix_exp(B, t) @ canonical_embedding(spec, p)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     assert worst <= 1e-12
+
+
+def _embedding_reference(spec, theta, base):
+    """Reference: the canonical embedding of one point, one factor at a time."""
+    out = []
+    for j in range(spec.n):
+        locus = spec.pinch_loci[j]
+        rho = 1.0 if locus.empty else float(locus.distance(base))
+        out += [rho * np.cos(2 * np.pi * theta[j]), rho * np.sin(2 * np.pi * theta[j])]
+    for k in range(spec.m):
+        out += [np.cos(2 * np.pi * base[k]), np.sin(2 * np.pi * base[k])]
+    return out
+
+
+@pytest.mark.parametrize("make", [single_pinch_spec, two_pinch_spec, plain_torus_spec])
+def test_embedding_and_flow_batch_match_each_row(make):
+    spec = make()
+    rng = np.random.default_rng(55)
+    theta = rng.random((60, 2))
+    theta[:10, 1] = 0.0  # on the pinch locus {0} of the first factor
+    theta[10:20, 1] = 0.5
+    points = make_point(spec, theta)
+    times = rng.uniform(-5.0, 5.0, 60)
+    moved = flow(spec, points, times)
+    embeds, moved_embeds = canonical_embedding(spec, points), canonical_embedding(spec, moved)
+    for i in range(60):
+        row = make_point(spec, theta[i])
+        for got, want in zip(row, points):
+            np.testing.assert_array_equal(got, want[i])
+        np.testing.assert_array_equal(canonical_embedding(spec, row), embeds[i])
+        np.testing.assert_array_equal(embeds[i], _embedding_reference(spec, *row[:2]))
+        row_moved = flow(spec, row, times[i])
+        for got, want in zip(row_moved, moved):
+            np.testing.assert_array_equal(got, want[i])
+        np.testing.assert_array_equal(canonical_embedding(spec, row_moved), moved_embeds[i])
+
+
+def test_flow_carries_base_and_mask():
+    spec = two_pinch_spec()
+    theta, base, mask = make_point(spec, [[0.3, 0.0], [0.3, 0.5], [0.3, 0.25]])
+    moved_theta, moved_base, moved_mask = flow(spec, (theta, base, mask), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(moved_base, base)
+    np.testing.assert_array_equal(moved_mask, [[True, False], [True, False], [False, False]])
+    np.testing.assert_array_equal(moved_theta[:2, 0], [0.0, 0.0])
+    # one start flowed along many times: base and mask broadcast to the orbit
+    orbit = flow(spec, make_point(spec, [0.3, 0.25]), np.linspace(0.0, 1.0, 7))
+    assert [a.shape for a in orbit] == [(7, 2), (7, 1), (7, 2)]
+    assert canonical_embedding(spec, orbit).shape == (7, 6)
 
 
 # --- family verification --------------------------------------------------------------
@@ -158,6 +210,68 @@ def test_plain_torus_reduces_to_standard_embedding():
     )
     report = verify_family(spec, n_samples=1000, rng=np.random.default_rng(53))
     assert report.min_separation_ratio > 0.1
+
+
+@st.composite
+def pinched_specs(draw):
+    """Specs whose pinched factors are fiber circles (zero columns of M).
+
+    The other columns give M full row rank, so M theta is uniform on T^m.
+    The base region is a box of arcs on a grid of eighths, and each pinch
+    locus is a box of points or arcs inside it on a grid of sixteenths.
+    """
+    m = draw(st.integers(1, 2))
+    n_free = draw(st.integers(m, 2))
+    n = n_free + draw(st.integers(1, 2))
+    free = np.array(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n_free, max_size=n_free),
+        min_size=m, max_size=m,
+    )))
+    assume(np.linalg.matrix_rank(free) == m)
+    order = draw(st.permutations(range(n)))
+    M = np.zeros((m, n), dtype=int)
+    M[:, order[:n_free]] = free
+    box = []
+    for _ in range(m):
+        lo = draw(st.integers(0, 6))
+        box.append((Fraction(lo, 8), Fraction(draw(st.integers(lo + 2, 8)), 8)))
+    loci = [[] for _ in range(n)]
+    for j in order[n_free:]:
+        arcs = []
+        for lo, hi in box:
+            a = draw(st.integers(int(16 * lo), int(16 * hi)))
+            b = draw(st.integers(a, int(16 * hi)))
+            arcs.append((Fraction(a, 16), Fraction(b, 16)))
+        loci[j] = [arcs]
+    return make_spec(n=n, m=m, M=M, base_boxes=[box], loci_boxes=loci)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=pinched_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_families_are_exactly_linear_and_quotient_consistent(spec, seed):
+    rng = np.random.default_rng(seed)
+    report = verify_family(spec, n_samples=100, rng=rng)
+    assert report.max_linearity_residual <= LINEARITY_TOL
+    assert report.quotient_consistent
+    # every collapsed coordinate, set to any raw angle, embeds the same point
+    points = sample_points(spec, 100, rng)
+    theta, base, mask = points
+    raw = np.where(mask, rng.random(theta.shape), theta)
+    np.testing.assert_array_equal(
+        canonical_embedding(spec, (raw, base, mask)), canonical_embedding(spec, points)
+    )
+
+
+def test_fiber_solve_that_leaves_the_base_region_is_skipped():
+    # the fiber over the locus midpoint (1, 1/32) solves to a base point
+    # (5.6e-17, 1/32) in floating point, outside the arc [1/8, 1]; verify_family
+    # must skip those trials rather than raise NotInFamily
+    spec = make_spec(
+        n=3, m=2, M=[[1, -1, 0], [-2, -1, 0]], base_boxes=[[("1/8", "1"), ("0", "1/4")]],
+        loci_boxes=[[], [], [[("1", "1"), ("0", "1/16")]]],
+    )
+    report = verify_family(spec, n_samples=100, rng=np.random.default_rng(0))
+    assert report.quotient_consistent and report.passed
 
 
 def test_membership_gate():
