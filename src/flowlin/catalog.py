@@ -26,6 +26,7 @@ from .flows import (
     product,
     torus_angles,
 )
+from .integrate import batch_pow
 from .linalg import FrequencyVector, LinearGenerator, block_diag
 from .obstruct import SystemFacts
 from .phase import AttractorModel
@@ -373,8 +374,8 @@ def _annulus_t_min(x):
 
 
 def _annulus_field(x):
-    r = x[0]
-    return np.array([-((r - 1.0) ** 3), r])
+    r = x[..., 0]
+    return join_coords(-batch_pow(r - 1.0, 3), r)
 
 
 def _circle_attractor(name: str) -> AttractorModel:
@@ -460,8 +461,9 @@ def _log_radial_closed(t, x):
 
 
 def _log_radial_field(x):
-    r = x[0]
-    return np.array([-r * np.log(r), 1.0 + np.log(r)])
+    r = x[..., 0]
+    v = np.log(r)
+    return join_coords(-r * v, 1.0 + v)
 
 
 def _log_radial_phase(x):
@@ -562,7 +564,9 @@ def _saddle_entry() -> CatalogEntry:
         closed_form=lambda t, x: join_coords(x[..., 0] * np.exp(t), x[..., 1] * np.exp(-t)),
     )
     ode = FlowSystem(
-        name="saddle_plane_ode", chart=chart, vector_field=lambda x: np.array([x[0], -x[1]])
+        name="saddle_plane_ode",
+        chart=chart,
+        vector_field=lambda x: join_coords(x[..., 0], -x[..., 1]),
     )
     eq = EquilibriumInfo(
         (0.0, 0.0), -1, lambda p: np.column_stack([p[:, 0], -p[:, 1]])

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from flowlin import catalog, edmd, embed
 from flowlin.embed import BracketFailure, OnAttractor, impact_time
-from flowlin.flows import TimeOutOfDomain, evolve
+from flowlin.flows import FlowSystem, TimeOutOfDomain, euclidean, evolve
+from flowlin.integrate import IntegrationFailure, IntegratorSettings, integrate
 
 CLOSED_FORMS = [name for name in catalog.names() if catalog.get(name).system.closed_form]
+ODE_TWINS = [name for name in catalog.names() if catalog.get(name).ode_system]
 BASINS = ("log_radial", "product_attractor")
 
 
@@ -176,6 +178,105 @@ def test_lockstep_snapshots_match_pair_by_pair_loop(name, count):
     X, Y = _snapshots_pair_by_pair(entry.system, starts, 0.1, count)
     np.testing.assert_array_equal(snaps.X, X)
     np.testing.assert_array_equal(snaps.Y, Y)
+
+
+def test_lockstep_ode_snapshots_match_pair_by_pair_loop():
+    entry = catalog.get("annulus_cubic")
+    starts = entry.sample_states(np.random.default_rng(18), 5)
+    snaps = edmd.collect_snapshots(entry.ode_system, starts, 0.1, 23)
+    X, Y = _snapshots_pair_by_pair(entry.ode_system, starts, 0.1, 23)
+    np.testing.assert_array_equal(snaps.X, X)
+    np.testing.assert_array_equal(snaps.Y, Y)
+
+
+# --- vector fields and the batched integrator --------------------------------------
+
+# the single-state vector fields the batch forms replaced, as a reference
+SINGLE_STATE_FIELDS = {
+    "annulus_cubic": lambda x: np.array([-((x[0] - 1.0) ** 3), x[0]]),
+    "log_radial": lambda x: np.array([-x[0] * np.log(x[0]), 1.0 + np.log(x[0])]),
+    "saddle_plane": lambda x: np.array([x[0], -x[1]]),
+}
+
+
+def _mixed_times(sys, X, rng):
+    """Forward, backward and zero times, every row inside its domain."""
+    t = rng.uniform(-1.5, 2.5, len(X))
+    t[::4] = 0.0
+    return np.where(t == 0.0, 0.0, np.maximum(t, sys.t_min(X) + 0.25))
+
+
+@pytest.mark.parametrize("name", ODE_TWINS)
+def test_batch_field_matches_single_state_field(name):
+    field = catalog.get(name).ode_system.vector_field
+    rng = np.random.default_rng(19)
+    # catalog samples plus states far off them, where r - 1 is large
+    X = np.concatenate([
+        catalog.get(name).sample_states(rng, 300), rng.uniform(0.01, 50.0, (300, 2)),
+    ])
+    reference = np.array([SINGLE_STATE_FIELDS[name](x) for x in X])
+    np.testing.assert_array_equal(field(X), reference)
+    for x, ref in zip(X[::37], reference[::37]):
+        np.testing.assert_array_equal(field(x), ref)
+
+
+@pytest.mark.parametrize("name", ODE_TWINS)
+def test_ode_batch_matches_each_row(name):
+    sys = catalog.get(name).ode_system
+    rng = np.random.default_rng(20)
+    X = catalog.get(name).sample_states(rng, 16)
+    t = _mixed_times(sys, X, rng)
+    assert (t < 0).any() and (t > 0).any() and (t == 0).any()
+    batch = evolve(sys, X, t)
+    for i in range(len(X)):
+        np.testing.assert_array_equal(batch[i], evolve(sys, X[i], float(t[i])))
+    np.testing.assert_array_equal(batch[t == 0.0], sys.chart.wrap(X[t == 0.0]))
+    assert evolve(sys, X[:0], t[:0]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("name", ODE_TWINS)
+def test_batch_dense_output_matches_each_row(name):
+    sys = catalog.get(name).ode_system
+    rng = np.random.default_rng(21)
+    X = catalog.get(name).sample_states(rng, 8)
+    t = _mixed_times(sys, X, rng)
+    dense = integrate(sys.vector_field, X, 0.0, t, sys.settings)
+    solo = [integrate(sys.vector_field, x, 0.0, ti, sys.settings) for x, ti in zip(X, t)]
+    assert len(dense.coeffs) == sum(len(d.coeffs) for d in solo)
+    # a step boundary of each row, then inside steps, at the end and past either end
+    edges = np.array([d.t_lo[len(d.t_lo) // 2] if len(d.t_lo) else 0.0 for d in solo])
+    for times in [edges] + [frac * t for frac in (0.37, 0.5, 1.0, 1.2, -0.1)]:
+        states = dense(times)
+        for i, d in enumerate(solo):
+            np.testing.assert_array_equal(states[i], d(times[i]))
+
+
+def _blowup(max_steps, fixed_step=None):
+    # dx/dt = x^2 leaves every bound at t = 1 / x0
+    return FlowSystem(
+        "blowup", euclidean(1), vector_field=lambda x: x * x,
+        settings=IntegratorSettings(max_steps=max_steps, fixed_step=fixed_step),
+    )
+
+
+def test_blowup_row_raises_naming_its_row():
+    sys = _blowup(20000)
+    X = np.array([[0.1], [0.2], [1.0], [0.3]])
+    with pytest.raises(IntegrationFailure) as solo:
+        evolve(sys, X[2], 2.0)
+    with pytest.raises(IntegrationFailure) as batch:
+        evolve(sys, X, 2.0)
+    assert str(batch.value) == f"{solo.value} (row 2)"
+
+
+def test_max_steps_counts_per_row():
+    # a fixed step of 0.1 takes 10 |t| steps per row
+    sys = _blowup(10, fixed_step=0.1)
+    X = np.full((4, 1), 0.01)
+    out = evolve(sys, X, np.array([1.0, -1.0, 0.5, 1.0]))  # 35 steps, at most 10 per row
+    assert np.all(np.isfinite(out))
+    with pytest.raises(IntegrationFailure, match=r"^exceeded 10 steps \(row 1\)$"):
+        evolve(sys, X, np.array([1.0, 1.5, 0.5, 2.0]))
 
 
 def _fourier_reference(chart, degree, x):

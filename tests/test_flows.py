@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlin import catalog
 from flowlin.flows import (
@@ -182,6 +184,45 @@ def test_group_law_integrated_log_radial():
     assert report.passed
 
 
+# every closed form and every ODE twin, with the bound their group-law checks use
+GROUP_LAW_CASES = [(name, "system", 1e-9) for name in catalog.names()] + [
+    (name, "ode_system", 1e-7) for name in catalog.names() if catalog.get(name).ode_system
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(GROUP_LAW_CASES), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_group_law_property(case, seed, n):
+    name, twin, tol = case
+    entry = catalog.get(name)
+    sys = getattr(entry, twin)
+    rng = np.random.default_rng(seed)
+    xs = entry.sample_states(rng, n)
+    # flows with a domain bound run forward; backward times stay short, so
+    # states stay at the scale the absolute bound is meant for
+    low = 0.0 if np.isfinite(sys.t_min(xs)).any() else -0.5
+    times = rng.uniform(low, 1.5, (n, 2))
+    report = check_group_law(sys, [(x, s, t) for x, (s, t) in zip(xs, times)], tol)
+    assert report.n_checked == n and not report.failures
+    assert report.passed, f"{sys.name}: max violation {report.max_violation}"
+
+
+@pytest.mark.parametrize("twin", ["system", "ode_system"])
+def test_group_law_batch_keeps_each_failure(twin):
+    entry = catalog.get("annulus_cubic")
+    sys = getattr(entry, twin)
+    xs = entry.sample_states(np.random.default_rng(7), 9)
+    samples = [(x, 0.4, 0.3) for x in xs]
+    samples[5] = (np.array([2.0, 0.0]), -0.7, 0.0)  # below its domain bound -0.5
+    report = check_group_law(sys, samples, tol=1e-7)
+    assert report.n_checked == 8
+    assert [idx for idx, _ in report.failures] == [5]
+    with pytest.raises(TimeOutOfDomain) as err:
+        evolve(sys, samples[5][0], -0.7)
+    assert report.failures[0][1] == repr(err.value)
+    assert report.max_violation <= 1e-7 and not report.passed
+
+
 def test_group_law_zero_times_exact():
     entry = catalog.get("sphere_rotation")
     x = entry.sample_states(np.random.default_rng(0), 1)[0]
@@ -192,7 +233,8 @@ def test_group_law_zero_times_exact():
 def test_group_law_fails_on_nan_closed_form():
     # a closed form that returns NaN past t = 1 leaves no finite evidence
     def closed_form(t, x):
-        return np.full(2, np.nan) if t > 1.0 else np.asarray(x, float) + t
+        t = np.asarray(t)[..., None]
+        return np.where(t > 1.0, np.nan, np.asarray(x, float) + t)
 
     sys = FlowSystem("nan_shift", euclidean(2), closed_form=closed_form)
     samples = [([0.0, 0.0], 0.2, 0.3), ([1.0, 2.0], 0.9, 0.6)]
