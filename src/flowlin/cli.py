@@ -8,8 +8,8 @@ Exit codes: 0 when every requested check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -19,12 +19,10 @@ from . import __version__, catalog, edmd, obstruct, phase, pinched
 from .embed import (
     BATCH_TOL,
     EmbeddingCandidate,
-    QualityOptions,
     build_smooth_embedding,
     build_topological_embedding,
     overlap_identity_residual,
     verify_embedding_quality,
-    verify_linearization,
 )
 from .errors import FlowlinError
 from .flows import Trajectory, export_trajectory_csv, sample_trajectory
@@ -50,22 +48,14 @@ def _check(name: str, value, threshold, ok: bool) -> dict:
     return {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}
 
 
-def _report(args, checks: list[dict], extra: dict | None = None, elapsed=None) -> dict:
+def _write_report(args, checks: list[dict], extra: dict) -> int:
+    """Write a command's JSON report; the exit code is 0 when every check passes."""
     # the output path is not configuration: the same run gives the same bytes anywhere
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
-    report = {
-        "tool_version": __version__,
-        "config": config,
-        "checks": checks,
-    }
-    if extra:
-        report.update(extra)
-    if getattr(args, "timing", False) and elapsed is not None:
-        report["timing_seconds"] = elapsed
-    return report
-
-
-def _exit_code(checks: list[dict]) -> int:
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "start")}
+    report = {"tool_version": __version__, "config": config, "checks": checks, **extra}
+    if args.timing:
+        report["timing_seconds"] = time.perf_counter() - args.start
+    _dump_json(report, args.out)
     return 0 if all(c["pass"] for c in checks) else 1
 
 
@@ -81,6 +71,15 @@ def _parse_floats(text: str) -> np.ndarray:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as err:
         raise UsageError(f"could not parse numbers from {text!r}") from err
+
+
+def _parse_state(text: str, entry) -> np.ndarray:
+    """One finite state of the entry's chart, comma separated."""
+    x = _parse_floats(text)
+    dim = entry.system.chart.dim
+    if x.shape != (dim,) or not np.all(np.isfinite(x)):
+        raise UsageError(f"{entry.name} takes {dim} finite coordinates, got {text!r}")
+    return x
 
 
 # --- catalog ------------------------------------------------------------------
@@ -107,7 +106,7 @@ def _cmd_catalog(args) -> int:
             raise UsageError("--emit-trajectory requires --x")
         if not args.out:
             raise UsageError("--emit-trajectory requires --out")
-        x0 = _parse_floats(args.x)
+        x0 = _parse_state(args.x, entry)
         grid = np.linspace(0.0, args.tmax, args.steps)
         traj = sample_trajectory(entry.system, x0, grid)
         export_trajectory_csv(traj, args.out)
@@ -165,50 +164,31 @@ def _built_candidate(entry) -> EmbeddingCandidate:
     )
 
 
-def _quality_checks(
-    cand, entry, states, options: QualityOptions = QualityOptions()
-) -> tuple[list[dict], dict]:
-    """Injectivity, immersion and batch-agreement checks, plus properness given escape states.
+def _evidence_checks(cand, entry, grid, states, tol, floor) -> tuple[list[dict], dict]:
+    """The checks of one ``verify_embedding_quality`` pass, and its properness probe.
 
-    The floors come from ``options``; returns the checks and the properness probe.
+    The residual must be at most ``tol``, the injectivity margin and the
+    smallest Jacobian singular value at least ``floor``; the properness
+    probe runs on the entry's escape states, if it has any.
     """
-    if entry.escape_states is not None:
-        esc_states, esc_values = entry.escape_states(16)
-        options = dataclasses.replace(
-            options, escape_states=tuple(map(tuple, esc_states)), escape_values=tuple(esc_values)
-        )
-    quality = verify_embedding_quality(cand, entry.system, states, options)
+    escape = entry.escape_states(16) if entry.escape_states is not None else None
+    q = verify_embedding_quality(cand, entry.system, grid, states, escape)
+    # every comparison is written so that a NaN number fails its check
     checks = [
-        _check(
-            "injectivity_margin",
-            quality.injectivity_margin,
-            options.injectivity_floor,
-            not quality.injectivity_flagged,
-        ),
-        _check(
-            "min_jacobian_sigma",
-            quality.min_jacobian_sigma,
-            options.sigma_floor,
-            not quality.immersion_flagged,
-        ),
-        _check(
-            "batch_agreement", quality.batch_disagreement, BATCH_TOL, not quality.batch_flagged
-        ),
+        _check("linearization_residual", q.linearization_residual, tol,
+               q.linearization_residual <= tol),
+        _check("injectivity_margin", q.injectivity_margin, floor, q.injectivity_margin >= floor),
+        _check("min_jacobian_sigma", q.min_jacobian_sigma, floor, q.min_jacobian_sigma >= floor),
+        _check("batch_agreement", q.batch_disagreement, BATCH_TOL,
+               q.batch_disagreement <= BATCH_TOL),
     ]
-    if quality.properness["available"]:
-        checks.append(
-            _check(
-                "properness_probe",
-                quality.properness["spearman_rho"],
-                0.9,
-                not quality.properness["flagged"],
-            )
-        )
-    return checks, quality.properness
+    if q.properness["available"]:
+        rho, flagged = q.properness["spearman_rho"], q.properness["flagged"]
+        checks.append(_check("properness_probe", rho, 0.9, not flagged))
+    return checks, q.properness
 
 
 def _cmd_verify(args) -> int:
-    start = time.perf_counter()
     entry = _entry(args.system)
     rng = np.random.default_rng(args.seed)
     if args.embedding == "exact":
@@ -220,29 +200,17 @@ def _cmd_verify(args) -> int:
 
     states = entry.sample_states(rng, args.samples)
     times = [0.0, 0.1, 1.0, float(np.pi), float(args.tmax)]
-    residual = verify_linearization(cand, entry.system, (states, times))
-
-    quality_checks, properness = _quality_checks(cand, entry, states[: min(len(states), 256)])
-    checks = [
-        _check("linearization_residual", residual, args.tol, residual <= args.tol),
-        *quality_checks,
-    ]
-    report = _report(
-        args,
-        checks,
-        {"provenance": cand.provenance, "properness": properness},
-        time.perf_counter() - start,
+    checks, properness = _evidence_checks(
+        cand, entry, (states, times), states[:256], args.tol, 1e-6
     )
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    return _write_report(args, checks, {"provenance": cand.provenance, "properness": properness})
 
 
 def _cmd_build(args) -> int:
-    start = time.perf_counter()
     entry = _entry(args.system)
     rng = np.random.default_rng(args.seed)
     states = entry.sample_states(rng, 40)
-    extra: dict = {}
+    overlap = None
 
     if args.mode == "topological":
         cand = _built_candidate(entry)
@@ -261,36 +229,21 @@ def _cmd_build(args) -> int:
             entry.lyapunov.level,
             validation_states=states,
         )
-        overlap_states = list(states)
-        if entry.escape_states is not None:
-            overlap_states += [np.asarray(s, float) for s in entry.escape_states(16)[0]]
+        escape = entry.escape_states(16)[0] if entry.escape_states is not None else states[:0]
         overlap = overlap_identity_residual(
             entry.system, entry.transverse, entry.lyapunov.V, entry.lyapunov.level,
-            overlap_states,
+            np.concatenate([states, escape]),
         )
-        extra["overlap_identity_residual"] = overlap
 
     grid = catalog.standard_grid(entry, np.random.default_rng(args.seed))
-    residual = verify_linearization(cand, entry.system, grid)
-    quality_checks, extra["properness"] = _quality_checks(
-        cand, entry, entry.sample_states(rng, 200),
-        QualityOptions(injectivity_floor=1e-3, sigma_floor=1e-3),
+    checks, properness = _evidence_checks(
+        cand, entry, grid, entry.sample_states(rng, 200), 1e-6, 1e-3
     )
-    checks = [
-        _check("linearization_residual", residual, 1e-6, residual <= 1e-6),
-        *quality_checks,
-    ]
-    if "overlap_identity_residual" in extra:
-        checks.append(
-            _check(
-                "overlap_identity", extra["overlap_identity_residual"], 1e-7,
-                extra["overlap_identity_residual"] <= 1e-7,
-            )
-        )
-    extra["provenance"] = cand.provenance
-    report = _report(args, checks, extra, time.perf_counter() - start)
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    extra = {"provenance": cand.provenance, "properness": properness}
+    if overlap is not None:
+        checks.append(_check("overlap_identity", overlap, 1e-7, overlap <= 1e-7))
+        extra["overlap_identity_residual"] = overlap
+    return _write_report(args, checks, extra)
 
 
 # --- phase ---------------------------------------------------------------------
@@ -310,11 +263,10 @@ def _parse_schedule(text: str) -> phase.GeometricSchedule:
 
 
 def _cmd_phase(args) -> int:
-    start = time.perf_counter()
     entry = _entry(args.system)
     if entry.attractor is None:
         raise UsageError(f"{entry.name} has no attractor model")
-    x = _parse_floats(args.x)
+    x = _parse_state(args.x, entry)
     schedule = _parse_schedule(args.schedule)
     estimate = phase.estimate_phase(entry.system, entry.attractor, x, schedule)
     cls = estimate.classification
@@ -327,9 +279,7 @@ def _cmd_phase(args) -> int:
     if cls.kind == "converged":
         extra["limit"] = [float(v) for v in cls.limit]
         extra["rate"] = cls.rate
-    report = _report(args, [], extra, time.perf_counter() - start)
-    _dump_json(report, args.out)
-    return 0
+    return _write_report(args, [], extra)
 
 
 # --- obstructions ---------------------------------------------------------------
@@ -337,7 +287,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_index(args) -> int:
     entry = _entry(args.system)
-    target = _parse_floats(args.equilibrium)
+    target = _parse_state(args.equilibrium, entry)
     match = None
     for eq in entry.equilibria:
         if np.linalg.norm(np.asarray(eq.location) - target) < 1e-6:
@@ -360,9 +310,7 @@ def _cmd_index(args) -> int:
         "winding_samples": report_eq.winding_samples,
         "min_field_norm_on_circle": report_eq.min_field_norm_on_circle,
     }
-    report = _report(args, checks, extra)
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    return _write_report(args, checks, extra)
 
 
 def _cmd_verdict(args) -> int:
@@ -388,9 +336,7 @@ def _cmd_verdict(args) -> int:
         "applied_rules": list(verdict.applied_rules),
         "reason": verdict.reason,
     }
-    report = _report(args, checks, extra)
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    return _write_report(args, checks, extra)
 
 
 def _cmd_certify(args) -> int:
@@ -423,9 +369,7 @@ def _cmd_certify(args) -> int:
         "reason": verdict.reason,
         "witness": verdict.witness,
     }
-    report = _report(args, checks, extra)
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    return _write_report(args, checks, extra)
 
 
 # --- pinched tori ----------------------------------------------------------------
@@ -469,9 +413,7 @@ def _cmd_pinched(args) -> int:
         "max_embedding_radius": family.max_embedding_radius,
         "n_samples": family.n_samples,
     }
-    report = _report(args, checks, extra)
-    _dump_json(report, args.out)
-    return _exit_code(checks)
+    return _write_report(args, checks, extra)
 
 
 # --- EDMD --------------------------------------------------------------------------
@@ -483,10 +425,13 @@ def _parse_dictionary(text: str, entry) -> edmd.Dictionary:
     except ValueError as err:
         raise UsageError(f"dictionary must look like kind:param, got {text!r}") from err
     chart = entry.system.chart
-    if kind == "fourier":
-        return edmd.fourier_dictionary(chart, int(param))
-    if kind == "monomial":
-        return edmd.monomial_dictionary(chart.dim, int(param))
+    try:
+        if kind == "fourier":
+            return edmd.fourier_dictionary(chart, int(param))
+        if kind == "monomial":
+            return edmd.monomial_dictionary(chart.dim, int(param))
+    except ValueError as err:
+        raise UsageError(f"bad dictionary {text!r} for {entry.name}: {err}") from err
     if kind == "custom":
         if param not in entry.custom_observables:
             raise UsageError(
@@ -499,7 +444,6 @@ def _parse_dictionary(text: str, entry) -> edmd.Dictionary:
 
 
 def _cmd_edmd(args) -> int:
-    start = time.perf_counter()
     entry = _entry(args.system)
     dictionary = _parse_dictionary(args.dict, entry)
     rng = np.random.default_rng(args.seed)
@@ -513,7 +457,8 @@ def _cmd_edmd(args) -> int:
     )
     try:
         model = edmd.fit(dictionary, snapshots, ridge=args.ridge)
-    except edmd.RankDeficient as err:
+    except (edmd.RankDeficient, ValueError) as err:
+        # too few pairs or too small a dictionary for the chart, or a singular Gram matrix
         raise UsageError(str(err)) from err
     diag = edmd.diagnose(model, dictionary, entry.system, holdout, entry=entry)
 
@@ -522,12 +467,32 @@ def _cmd_edmd(args) -> int:
         "spectrum": [[float(v.real), float(v.imag)] for v in model.spectrum],
         **diag,
     }
-    report = _report(args, [], extra, time.perf_counter() - start)
-    _dump_json(report, args.out)
-    return 0
+    return _write_report(args, [], extra)
 
 
 # --- parser -----------------------------------------------------------------------
+
+
+def _number(kind, low: float, strict: bool = False):
+    """argparse type: a finite ``kind`` number at least ``low``, or above it if ``strict``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = f"{'>' if strict else '>='} {low}"
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} {bound}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive = _number(float, 0.0, strict=True)
+_count = _number(int, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,16 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("--emit-trajectory", action="store_true",
                         help="write a trajectory CSV instead of metadata")
     p_show.add_argument("--x", default=None, help="initial state, comma separated")
-    p_show.add_argument("--tmax", type=float, default=10.0)
-    p_show.add_argument("--steps", type=int, default=1000)
+    p_show.add_argument("--tmax", type=_positive, default=10.0)
+    p_show.add_argument("--steps", type=_count, default=1000)
     p_cat.set_defaults(func=_cmd_catalog)
 
     p_verify = sub.add_parser("verify", parents=[common], help="verify an embedding candidate")
     p_verify.add_argument("--system", required=True)
     p_verify.add_argument("--embedding", choices=["exact", "built"], default="exact")
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--tmax", type=float, default=10.0)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--samples", type=_count, default=200)
+    p_verify.add_argument("--tmax", type=_positive, default=10.0)
+    p_verify.add_argument("--tol", type=_positive, default=1e-6)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_build = sub.add_parser("build", parents=[common], help="build a basin embedding")
@@ -578,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", parents=[common], help="Hopf index by winding number")
     p_index.add_argument("--system", required=True)
     p_index.add_argument("--equilibrium", required=True, help="location, comma separated")
-    p_index.add_argument("--radius", type=float, default=0.5)
-    p_index.add_argument("--samples", type=int, default=256)
+    p_index.add_argument("--radius", type=_positive, default=0.5)
+    p_index.add_argument(
+        "--samples", type=_number(int, obstruct.MIN_WINDING_SAMPLES), default=256
+    )
     p_index.set_defaults(func=_cmd_index)
 
     p_verdict = sub.add_parser("verdict", parents=[common],
@@ -591,9 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="quasiperiodic torus factor certificate")
     p_cert.add_argument("--system", required=True)
     p_cert.add_argument("--omega", required=True, help="frequencies, comma separated")
-    p_cert.add_argument("--Q", type=int, default=50, help="coefficient bound")
-    p_cert.add_argument("--samples", type=int, default=100)
-    p_cert.add_argument("--tol", type=float, default=1e-9)
+    p_cert.add_argument("--Q", type=_count, default=50, help="coefficient bound")
+    p_cert.add_argument(
+        "--samples", type=_number(int, obstruct.MIN_CERTIFICATE_SAMPLES), default=100
+    )
+    p_cert.add_argument("--tol", type=_positive, default=1e-9)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_pinch = sub.add_parser("pinched", parents=[common],
@@ -603,18 +572,18 @@ def build_parser() -> argparse.ArgumentParser:
     pinch_mode.add_argument("--check", action="store_true", help="run the family checks")
     pinch_mode.add_argument("--emit-trajectory", default=None,
                             help="JSON file with a start point {\"theta\": [...]}")
-    p_pinch.add_argument("--samples", type=int, default=200)
-    p_pinch.add_argument("--tmax", type=float, default=10.0)
-    p_pinch.add_argument("--steps", type=int, default=1000)
+    p_pinch.add_argument("--samples", type=_number(int, pinched.MIN_SAMPLES), default=200)
+    p_pinch.add_argument("--tmax", type=_positive, default=10.0)
+    p_pinch.add_argument("--steps", type=_count, default=1000)
     p_pinch.set_defaults(func=_cmd_pinched)
 
     p_edmd = sub.add_parser("edmd", parents=[common], help="EDMD fit and diagnostics")
     p_edmd.add_argument("--system", required=True)
     p_edmd.add_argument("--dict", default="fourier:1",
                         help="fourier:d | monomial:d | custom:<name>")
-    p_edmd.add_argument("--pairs", type=int, default=500)
-    p_edmd.add_argument("--step", type=float, default=0.1)
-    p_edmd.add_argument("--ridge", type=float, default=1e-10)
+    p_edmd.add_argument("--pairs", type=_count, default=500)
+    p_edmd.add_argument("--step", type=_positive, default=0.1)
+    p_edmd.add_argument("--ridge", type=_number(float, 0.0), default=1e-10)
     p_edmd.set_defaults(func=_cmd_edmd)
 
     return parser
@@ -627,6 +596,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    args.start = time.perf_counter()
     try:
         return args.func(args)
     except UsageError as err:

@@ -10,9 +10,10 @@ agreement and a properness probe.
 Everything here works on state batches (see ``flows``): the maps a builder
 takes read ``x[..., i]``, a built F maps ``(..., dim)`` to ``(..., k)`` with
 one batched impact-time solve per call, and each verification passes all of
-its states (flowed copies and finite-difference probes included) to F in
-one call; the quality check adds one single-state call to see that F honours
-the convention.
+its states to F in one call.  ``verify_embedding_quality``, the evidence
+behind a report, joins the grid states and their flowed copies, the sampled
+states and their finite-difference probes and the escape states, and adds
+one single-state call to see that F honours the convention.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve
-from .linalg import LinearGenerator, as_generator, matrix_exp
+from .linalg import LinearGenerator, as_generator, block_diag, matrix_exp
 from .phase import AttractorModel
 
 __all__ = [
     "LyapunovData",
     "EmbeddingCandidate",
-    "QualityOptions",
     "QualityReport",
     "OnAttractor",
     "BracketFailure",
@@ -345,10 +345,9 @@ def build_topological_embedding(
             out[~on, k0:] = np.exp(tau)[:, None] * np.asarray(F1(evolve(sys, Xb, tau)), float)
         return out.reshape(x.shape[:-1] + (k0 + n1,))
 
-    B = np.zeros((k0 + n1, k0 + n1))
-    B[:k0, :k0] = B0.entries
-    B[k0:, k0:] = -np.eye(n1)
-    return EmbeddingCandidate(F, LinearGenerator(B), "built_topological")
+    return EmbeddingCandidate(
+        F, LinearGenerator(block_diag(B0.entries, -np.eye(n1))), "built_topological"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,10 +462,9 @@ def build_smooth_embedding(
             out[~inside, k1:] = _conjugated_G(sys, G, B, V, c, X[~inside])
         return out.reshape(x.shape[:-1] + (k1 + k,))
 
-    Bfull = np.zeros((k1 + k, k1 + k))
-    Bfull[:k1, :k1] = B1.entries
-    Bfull[k1:, k1:] = B.entries
-    return EmbeddingCandidate(F, LinearGenerator(Bfull), "built_smooth")
+    return EmbeddingCandidate(
+        F, LinearGenerator(block_diag(B1.entries, B.entries)), "built_smooth"
+    )
 
 
 def overlap_identity_residual(
@@ -483,42 +481,47 @@ def overlap_identity_residual(
     return float(np.max(np.sqrt(np.vecdot(diff, diff))))
 
 
+def _grid_batch(sys: FlowSystem, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's states followed by their copies flowed by each time, and the times.
+
+    Empty when the grid has no state or no time.
+    """
+    states, times = grid
+    X = np.asarray(states, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if not len(X) or not len(times):
+        return X[:0], times
+    flowed = evolve(sys, np.tile(X, (len(times), 1)), np.repeat(times, len(X)))
+    return np.concatenate([X, flowed]), times
+
+
+def _grid_residual(B: LinearGenerator, times: np.ndarray, images: np.ndarray) -> float:
+    """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of a ``_grid_batch``; 0 if empty."""
+    if not len(images):
+        return 0.0
+    images = images.reshape(len(times) + 1, -1, images.shape[-1])
+    exps = matrix_exp(B, times)[:, None]
+    diff = images[1:] - np.matmul(exps, images[0][..., None])[..., 0]
+    # a NaN residual stays NaN, so a `<= tol` gate on the result fails
+    return float(np.max(np.sqrt(np.vecdot(diff, diff))))
+
+
 def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> float:
     """Max over (states x times) of ||F(Phi^t(x)) - e^{Bt} F(x)||.
 
     The states and every flowed copy of them go through one call of F.
     """
-    states, times = grid
-    X = np.asarray(states, dtype=float)
-    if not len(X) or not len(times):
-        return 0.0
-    times = np.asarray(times, dtype=float)
-    n = len(X)
-    flowed = evolve(sys, np.tile(X, (len(times), 1)), np.repeat(times, n))
-    images = np.asarray(cand.F(np.concatenate([X, flowed])), dtype=float)
-    fx, lhs = images[:n], images[n:].reshape(len(times), n, -1)
-    exps = matrix_exp(cand.B, times)[:, None]
-    diff = lhs - np.matmul(exps, fx[..., None])[..., 0]
-    # a NaN residual stays NaN, so a `<= tol` gate on the result fails
-    return float(np.max(np.sqrt(np.vecdot(diff, diff))))
-
-
-@dataclass(frozen=True)
-class QualityOptions:
-    sigma_floor: float = 1e-6
-    injectivity_floor: float = 1e-6
-    escape_states: tuple = ()
-    escape_values: tuple = ()
+    batch, times = _grid_batch(sys, grid)
+    images = np.asarray(cand.F(batch), dtype=float) if len(batch) else batch
+    return _grid_residual(cand.B, times, images)
 
 
 @dataclass(frozen=True)
 class QualityReport:
+    linearization_residual: float
     injectivity_margin: float
-    injectivity_flagged: bool
     min_jacobian_sigma: float
-    immersion_flagged: bool
     batch_disagreement: float
-    batch_flagged: bool
     properness: dict
 
 
@@ -541,45 +544,48 @@ def _rank_correlation(a, b) -> float:
 def verify_embedding_quality(
     cand: EmbeddingCandidate,
     sys: FlowSystem,
+    grid,
     states: np.ndarray,
-    options: QualityOptions = QualityOptions(),
+    escape: tuple | None = None,
 ) -> QualityReport:
-    """Sampled injectivity margin, immersion rank, and properness probe.
+    """The evidence behind a report: residual, injectivity, immersion, batch agreement, properness.
 
-    The injectivity margin is ``sys.chart.injectivity_margin`` of the sampled
-    states and their images: quotient-identified pairs are skipped, a NaN
-    image gives a NaN margin and a single state gives NaN (no evidence), and
-    either is flagged.  The smallest singular value comes from a
-    central-difference Jacobian with step FD_STEP at every state.
-    Properness is a probe, never a certificate.  F is called once for the
-    states and their Jacobian probes together, once for the escape states,
-    and once more on the first state alone: its image must match its batch
-    row within BATCH_TOL, so a map written for one state that reads its
-    whole argument is flagged instead of silently misreading a batch.
+    The linearization residual is ``verify_linearization``'s on ``grid``.
+    The injectivity margin is ``sys.chart.injectivity_margin`` of ``states``
+    and their images: quotient-identified pairs are skipped, and a NaN image
+    or a single state (no evidence) gives NaN.  The smallest singular value
+    comes from a central-difference Jacobian with step FD_STEP at every
+    state.  ``escape`` is ``(states, values)`` along an escape path, or None;
+    with at least 4 states it gives the properness probe, never a
+    certificate.  The grid states and their flowed copies, ``states`` and
+    their Jacobian probes and the escape states go through one call of F;
+    the first state goes through F once more alone, and the distance of
+    that image from its batch row is the batch disagreement, so a map
+    written for one state that reads its whole argument shows up instead
+    of silently misreading a batch.
     """
     states = np.asarray(states, dtype=float)
     n, dim = len(states), states.shape[-1]
-    probes = _fd_probes(states).reshape(-1, dim)
-    out = np.asarray(cand.F(np.concatenate([states, probes])), dtype=float)
-    images, probe_images = out[:n], out[n:].reshape(n, 2 * dim, out.shape[-1])
+    grid_batch, times = _grid_batch(sys, grid)
+    esc = states[:0]
+    if escape is not None and len(escape[0]) >= 4:
+        esc = np.asarray(escape[0], dtype=float)
+    parts = [np.reshape(p, (-1, dim)) for p in (grid_batch, states, _fd_probes(states), esc)]
+    out = np.asarray(cand.F(np.concatenate(parts)), dtype=float)
+    grid_images, images, probe_images, esc_images = np.split(
+        out, np.cumsum([len(p) for p in parts[:-1]])
+    )
     disagreement = np.nan  # no state, no evidence
     if n:
         diff = images[0] - np.asarray(cand.F(states[0]), dtype=float)
         disagreement = float(np.sqrt(np.vecdot(diff, diff)))
-    margin = sys.chart.injectivity_margin(states, images)
+    probe_images = probe_images.reshape(n, 2 * dim, out.shape[-1])
     sigmas = np.linalg.svd(_fd_difference(probe_images), compute_uv=False)[..., -1]
-    sigma_min = np.min(sigmas, initial=np.inf)
 
     properness = {"available": False}
-    if len(options.escape_states) >= 4:
-        escape = np.asarray(cand.F(np.asarray(options.escape_states, dtype=float)), dtype=float)
-        norms = np.sqrt(np.vecdot(escape, escape)).tolist()
-        values = (
-            list(options.escape_values)
-            if len(options.escape_values) == len(norms)
-            else list(range(len(norms)))
-        )
-        rho = _rank_correlation(values, norms)
+    if len(esc):
+        norms = np.sqrt(np.vecdot(esc_images, esc_images)).tolist()
+        rho = _rank_correlation(escape[1], norms)
         growth = norms[-1] / max(norms[0], 1e-300)
         properness = {
             "available": True,
@@ -589,12 +595,9 @@ def verify_embedding_quality(
         }
 
     return QualityReport(
-        injectivity_margin=margin,
-        # written so that a NaN margin or sigma is flagged, not passed
-        injectivity_flagged=not margin >= options.injectivity_floor,
-        min_jacobian_sigma=float(sigma_min),
-        immersion_flagged=not sigma_min >= options.sigma_floor,
+        linearization_residual=_grid_residual(cand.B, times, grid_images),
+        injectivity_margin=sys.chart.injectivity_margin(states, images),
+        min_jacobian_sigma=float(np.min(sigmas, initial=np.inf)),
         batch_disagreement=disagreement,
-        batch_flagged=not disagreement <= BATCH_TOL,
         properness=properness,
     )

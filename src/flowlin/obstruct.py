@@ -50,6 +50,8 @@ class DimensionMismatch(FlowlinError):
 
 MIN_FIELD_NORM = 1e-8
 MAX_WINDING_SAMPLES = 2**20
+MIN_WINDING_SAMPLES = 64
+MIN_CERTIFICATE_SAMPLES = 100
 
 NOT_LINEARIZABLE = "not_linearizable_smooth"
 NO_OBSTRUCTION = "no_obstruction_found"
@@ -106,8 +108,8 @@ def hopf_index_2d(field: Callable, center, radius: float, n_samples: int = 256) 
     below pi/2 and the accumulated angle sits within 0.1 rad of a multiple
     of 2*pi.
     """
-    if n_samples < 64:
-        raise ValueError("need at least 64 circle samples")
+    if n_samples < MIN_WINDING_SAMPLES:
+        raise ValueError(f"need at least {MIN_WINDING_SAMPLES} circle samples")
     center = np.asarray(center, dtype=float)
     n = int(n_samples)
     while True:
@@ -248,8 +250,8 @@ def quasiperiodic_factor_certificate(
         raise DimensionMismatch(
             f"system dimension {sys.chart.dim} != frequency vector length {n}"
         )
-    if n_samples < 100:
-        raise ValueError("certificate needs at least 100 sample pairs")
+    if n_samples < MIN_CERTIFICATE_SAMPLES:
+        raise ValueError(f"certificate needs at least {MIN_CERTIFICATE_SAMPLES} sample pairs")
 
     indep = rational_independence(w, max_coeff, tol)
     if not indep.independent:

@@ -2,7 +2,8 @@
 
 A family is cut out of T^n by an integer homomorphism M: T^n -> T^m, a base
 region S in T^m, and per-factor pinch loci C_j in S over which the j-th circle
-factor collapses.  The canonical embedding z_j = dist(M theta, C_j) e^{2 pi i theta_j},
+factor collapses.  Only a fiber circle (a zero column of M) may collapse, so
+collapsing it leaves the base point M theta where it is.  The canonical embedding z_j = dist(M theta, C_j) e^{2 pi i theta_j},
 w = torus embedding of M theta, conjugates the kernel-direction translation flow
 to a block-rotation linear flow exactly, because the base point never moves.
 
@@ -46,6 +47,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # largest accepted ||F(Phi^t p) - e^{Bt} F(p)|| of the canonical embedding
 LINEARITY_TOL = 1e-10
+MIN_SAMPLES = 100
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -220,8 +222,16 @@ class PinchedTorusSpec:
             if any(v != 0 for v in residual):
                 raise ValueError(f"omega term for prime {prime} is not in ker(M)")
         for j, locus in enumerate(self.pinch_loci):
-            if not locus.empty and not locus.subset_of(self.base_region):
+            if locus.empty:
+                continue
+            if not locus.subset_of(self.base_region):
                 raise ValueError(f"pinch locus C_{j + 1} is not contained in S")
+            # collapsing theta_j must leave the base point M theta where it is
+            if M[:, j].any():
+                raise ValueError(
+                    f"pinch locus C_{j + 1} collapses factor {j + 1}, "
+                    "whose column of M is not zero"
+                )
 
 
 def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorusSpec:
@@ -336,8 +346,8 @@ def verify_family(
     rng=None,
 ) -> FamilyReport:
     """Sampled checks: exact flow linearity, quotient well-definedness, separation."""
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     rng = rng or np.random.default_rng(3)
     points = sample_points(spec, n_samples, rng)
     theta, base, _ = points

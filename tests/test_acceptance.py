@@ -16,7 +16,6 @@ from flowlin.embed import (
     build_topological_embedding,
     overlap_identity_residual,
     verify_embedding_quality,
-    verify_linearization,
 )
 from flowlin.flows import evolve, sample_trajectory
 from flowlin.obstruct import (
@@ -121,11 +120,11 @@ def test_criterion_4_constructive_builders():
                 entry.attractor_embedding, entry.lyapunov, validation,
             )
             grid = (entry.sample_states(rng, 20), [0.0, 0.1, 1.0, float(np.pi), 10.0])
-            residual = verify_linearization(cand, entry.system, grid)
-            assert residual <= 1e-6, f"{name}: residual {residual}"
             quality = verify_embedding_quality(
-                cand, entry.system, entry.sample_states(rng, 1000)
+                cand, entry.system, grid, entry.sample_states(rng, 1000)
             )
+            residual = quality.linearization_residual
+            assert residual <= 1e-6, f"{name}: residual {residual}"
             assert quality.injectivity_margin > 1e-3, name
             assert quality.min_jacobian_sigma > 1e-3, name
 

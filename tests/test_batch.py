@@ -85,17 +85,39 @@ def test_built_embedding_batch_matches_each_row(built, key):
     np.testing.assert_array_equal(F(X.reshape(5, 6, -1)), images.reshape(5, 6, -1))
 
 
+def _verify_batch(entry) -> np.ndarray:
+    """States, their flowed copies and their Jacobian probes, as one evidence pass joins them."""
+    states = entry.sample_states(np.random.default_rng(17), 20)
+    batch, _ = embed._grid_batch(entry.system, (states, [0.0, 0.1, 1.0, 10.0]))
+    return np.concatenate([batch, embed._fd_probes(states).reshape(-1, states.shape[-1])])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    key=st.sampled_from([(n, "topological") for n in BASINS] + [("log_radial", "smooth")]),
+    cuts=st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_built_embedding_rows_do_not_depend_on_the_batch_split(built, key, cuts):
+    # the evidence pass gets the same bytes from one F call as from one per part
+    X = _verify_batch(catalog.get(key[0]))
+    F = built[key].F
+    bounds = [0, *sorted(c % (len(X) + 1) for c in cuts), len(X)]
+    parts = [F(X[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    np.testing.assert_array_equal(np.concatenate(parts), F(X))
+
+
 def test_quality_flags_a_map_that_reads_the_whole_batch():
     entry = catalog.get("log_radial")
     F, B = entry.exact_embedding.F, entry.exact_embedding.B
     X = entry.sample_states(np.random.default_rng(16), 20)
     # written for one state: on a batch the norm runs over every row
     whole = embed.EmbeddingCandidate(lambda x: F(x) * np.linalg.norm(x), B, "supplied")
-    report = embed.verify_embedding_quality(whole, entry.system, X)
-    assert report.batch_disagreement > embed.BATCH_TOL and report.batch_flagged
+    report = embed.verify_embedding_quality(whole, entry.system, (X, ()), X)
+    # so the batch_agreement check of `verify` and `build` fails
+    assert report.batch_disagreement > embed.BATCH_TOL
     exact = embed.EmbeddingCandidate(F, B, "exact")
-    report = embed.verify_embedding_quality(exact, entry.system, X)
-    assert report.batch_disagreement == 0.0 and not report.batch_flagged
+    report = embed.verify_embedding_quality(exact, entry.system, (X, ()), X)
+    assert report.batch_disagreement == 0.0
 
 
 @pytest.mark.parametrize("name", BASINS)

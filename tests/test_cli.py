@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flowlin import catalog, pinched
+from flowlin import catalog, cli, embed, pinched
 from flowlin.cli import main
 
 SINGLE_PINCH = {
@@ -298,6 +298,65 @@ def test_timing_flag_adds_wall_time(tmp_path):
     assert run(["verify", "--system", "log_radial", "--samples", "40",
                 "--timing", "--out", str(out2)]) == 0
     assert "timing_seconds" in read_json(out2)
+    # every report command times itself, the library-only ones too
+    out3 = tmp_path / "timed3.json"
+    assert run(["verdict", "--system", "klein_bottle", "--timing", "--out", str(out3)]) == 0
+    assert read_json(out3)["timing_seconds"] >= 0.0
+    out4 = tmp_path / "untimed.json"
+    assert run(["verdict", "--system", "klein_bottle", "--out", str(out4)]) == 0
+    assert "timing_seconds" not in read_json(out4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--system", "sphere_rotation", "--equilibrium", "0,0"],
+        ["index", "--system", "sphere_rotation", "--equilibrium", "0,0,1", "--samples", "10"],
+        ["phase", "--system", "log_radial", "--x", "1"],
+        ["phase", "--system", "log_radial", "--x", "1,2,3"],
+        ["catalog", "show", "log_radial", "--emit-trajectory", "--x", "1"],
+        ["edmd", "--system", "log_radial", "--pairs", "0"],
+        ["edmd", "--system", "log_radial", "--pairs", "1"],
+        ["edmd", "--system", "log_radial", "--step", "0"],
+        ["edmd", "--system", "log_radial", "--dict", "fourier:one"],
+        ["verify", "--system", "log_radial", "--tmax", "nan"],
+        ["pinched", "--spec", "SPEC", "--check", "--samples", "50"],
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(SINGLE_PINCH))
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_built_verify_makes_three_solves_and_two_F_calls(monkeypatch, tmp_path):
+    solves, calls = [], []
+    impact_time, built_candidate = embed.impact_time, cli._built_candidate
+
+    def counted_solve(*args):
+        solves.append(len(np.atleast_2d(args[-1])))
+        return impact_time(*args)
+
+    def counted_candidate(entry):
+        cand = built_candidate(entry)
+
+        def F(x):
+            calls.append(np.shape(x))
+            return cand.F(x)
+
+        return dataclasses.replace(cand, F=F)
+
+    monkeypatch.setattr(embed, "impact_time", counted_solve)
+    monkeypatch.setattr(cli, "_built_candidate", counted_candidate)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--system", "log_radial", "--embedding", "built",
+                "--out", str(out)]) == 0
+    # the builder's validation, the one evidence batch and the single state
+    assert len(solves) == 3 and solves[-1] == 1
+    assert len(calls) == 2 and calls[1] == (2,)
 
 
 def test_help_exits_cleanly():

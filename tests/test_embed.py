@@ -10,7 +10,6 @@ from flowlin.embed import (
     EmbeddingCandidate,
     OnAttractor,
     PhaseMapInvalid,
-    QualityOptions,
     TransverseData,
     build_smooth_embedding,
     build_topological_embedding,
@@ -357,11 +356,13 @@ def test_quality_exact_log_radial(log_radial):
         log_radial.exact_embedding.F, log_radial.exact_embedding.B, "exact"
     )
     states = log_radial.sample_states(np.random.default_rng(5), 300)
-    esc, vals = log_radial.escape_states(16)
     report = verify_embedding_quality(
-        cand, log_radial.system, states,
-        QualityOptions(escape_states=tuple(map(tuple, esc)), escape_values=tuple(vals)),
+        cand, log_radial.system, (states, [0.1, 1.0]), states, log_radial.escape_states(16)
     )
+    assert report.linearization_residual == verify_linearization(
+        cand, log_radial.system, (states, [0.1, 1.0])
+    )
+    assert report.linearization_residual <= 1e-8
     assert report.injectivity_margin > 0.1
     assert report.min_jacobian_sigma > 0.3
     assert report.properness["available"] and not report.properness["flagged"]
@@ -372,16 +373,18 @@ def test_quality_flags_constant_map(log_radial):
         lambda x: np.zeros(np.shape(x)[:-1] + (3,)), LinearGenerator(np.zeros((3, 3))), "exact"
     )
     states = log_radial.sample_states(np.random.default_rng(6), 50)
-    report = verify_embedding_quality(cand, log_radial.system, states)
+    report = verify_embedding_quality(cand, log_radial.system, (states, ()), states)
     assert report.injectivity_margin == 0.0
-    assert report.injectivity_flagged and report.immersion_flagged
+    # both fail the floor of `flowlin verify` (1e-6) and so that of `build` (1e-3)
+    assert not report.injectivity_margin >= 1e-6
+    assert not report.min_jacobian_sigma >= 1e-6
 
 
 def test_quality_klein_quotient():
     entry = catalog.get("klein_bottle")
     cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
     states = entry.sample_states(np.random.default_rng(7), 300)
-    report = verify_embedding_quality(cand, entry.system, states)
+    report = verify_embedding_quality(cand, entry.system, (states, ()), states)
     # identified pairs are excluded by the quotient chart distance, so the
     # margin stays bounded away from zero and the map is an immersion
     assert report.injectivity_margin > 0.05

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flowlin.cli import main
 from flowlin.linalg import matrix_exp
 from flowlin.pinched import (
     LINEARITY_TOL,
@@ -312,6 +313,20 @@ def test_spec_json_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.omega, spec.omega)
     assert loaded.pinch_loci[0].boxes == spec.pinch_loci[0].boxes
     assert loaded.base_region.boxes == spec.base_region.boxes
+
+
+def test_spec_rejects_a_locus_whose_factor_moves_the_base(tmp_path):
+    # M theta = theta_1 + theta_2: collapsing theta_1 over C_1 would move the base point
+    with pytest.raises(ValueError, match="factor 1"):
+        make_spec(n=2, m=1, M=[[1, 1]], base_boxes=FULL_CIRCLE,
+                  loci_boxes=[[[("0", "1/2")]], []])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"n": 2, "m": 1, "M": [[1, 1]], "S": [[["0", "1"]]], "C": [[[["0", "1/2"]]], []]}
+    ))
+    out = tmp_path / "report.json"
+    assert main(["pinched", "--spec", str(path), "--check", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_spec_rejects_omega_outside_kernel():
