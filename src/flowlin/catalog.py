@@ -65,15 +65,21 @@ TWO_PI = 2.0 * np.pi
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 STANDARD_TIMES = (0.0, 0.1, 1.0, float(np.pi), 10.0)
 _CLOUD_SEED = 77003
+# sample count and largest accepted violation of verify_action
+ACTION_SAMPLES = 500
+ACTION_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class TorusActionSpec:
     """Torus action whose 1-parameter subgroup along omega is the flow."""
 
-    torus_dim: int
     action: Callable  # (h (N, n) in [0,1)^n, x (N, dim)) -> (N, dim), one h row per state
     omega: FrequencyVector
+
+    @property
+    def torus_dim(self) -> int:
+        return len(self.omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +146,6 @@ def _torus_entry(n: int) -> CatalogEntry:
         closed_form=lambda t, x: x + w * np.asarray(t)[..., None],
     )
     action = TorusActionSpec(
-        torus_dim=n,
         action=lambda h, x: chart.wrap(np.asarray(x, float) + np.asarray(h, float)),
         omega=FrequencyVector(w),
     )
@@ -182,7 +187,6 @@ def _sphere_entry() -> CatalogEntry:
     chart = euclidean(3)
     system = FlowSystem(name="sphere_rotation", chart=chart, closed_form=_sphere_closed)
     action = TorusActionSpec(
-        torus_dim=1,
         action=lambda h, x: _sphere_closed(h[..., 0], np.asarray(x, float)),
         omega=FrequencyVector([1.0]),
     )
@@ -230,7 +234,6 @@ def _klein_entry() -> CatalogEntry:
         closed_form=lambda t, x: join_coords(x[..., 0] + t, x[..., 1]),
     )
     action = TorusActionSpec(
-        torus_dim=1,
         action=lambda h, x: chart.wrap(join_coords(x[..., 0] + h[..., 0], x[..., 1])),
         omega=FrequencyVector([1.0]),
     )
@@ -258,7 +261,6 @@ def _rp2_entry() -> CatalogEntry:
     chart = ChartDescriptor("euclidean", (None, None, None), (lambda p: -np.asarray(p, float),))
     system = FlowSystem(name="projective_plane", chart=chart, closed_form=_sphere_closed)
     action = TorusActionSpec(
-        torus_dim=1,
         action=lambda h, x: _sphere_closed(h[..., 0], np.asarray(x, float)),
         omega=FrequencyVector([1.0]),
     )
@@ -624,17 +626,17 @@ class ActionReport:
     passed: bool
 
 
-def verify_action(entry: CatalogEntry, n_samples: int = 500, tol: float = 1e-9, rng=None) -> ActionReport:
+def verify_action(entry: CatalogEntry) -> ActionReport:
     """Check the torus-action axioms and the flow/action compatibility."""
     if entry.action is None:
         raise MissingAction(f"{entry.name} has no torus action")
-    rng = rng or np.random.default_rng(1)
+    rng = np.random.default_rng(1)
     spec = entry.action
     chart = entry.system.chart
-    xs = entry.sample_states(rng, n_samples)
-    hs = rng.random((n_samples, spec.torus_dim))
-    hs2 = rng.random((n_samples, spec.torus_dim))
-    ts = rng.uniform(-10.0, 10.0, n_samples)
+    xs = entry.sample_states(rng, ACTION_SAMPLES)
+    hs = rng.random((ACTION_SAMPLES, spec.torus_dim))
+    hs2 = rng.random((ACTION_SAMPLES, spec.torus_dim))
+    ts = rng.uniform(-10.0, 10.0, ACTION_SAMPLES)
 
     act = spec.action
     ident = chart.distances(act(np.zeros_like(hs), xs), xs)
@@ -643,15 +645,15 @@ def verify_action(entry: CatalogEntry, n_samples: int = 500, tol: float = 1e-9, 
     match = chart.distances(evolve(entry.system, xs, ts), act(along, xs))
     # np.max keeps a NaN violation, so the gate below fails on it
     ident, add, match = (float(np.max(v, initial=0.0)) for v in (ident, add, match))
-    passed = ident <= tol and add <= tol and match <= tol
-    return ActionReport(ident, add, match, n_samples, passed)
+    passed = ident <= ACTION_TOL and add <= ACTION_TOL and match <= ACTION_TOL
+    return ActionReport(ident, add, match, ACTION_SAMPLES, passed)
 
 
-def exact_embedding_residual(entry: CatalogEntry, grid=None, rng=None) -> float:
+def exact_embedding_residual(entry: CatalogEntry, grid=None) -> float:
     """Max linearization residual of the packaged exact embedding."""
     if entry.exact_embedding is None:
         raise MissingEmbedding(f"{entry.name} has no exact embedding")
     if grid is None:
-        grid = standard_grid(entry, rng)
+        grid = standard_grid(entry)
     cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
     return verify_linearization(cand, entry.system, grid)

@@ -76,6 +76,8 @@ SOLVE_MAXITER = 200
 FD_STEP = 1e-5
 # largest G(Phi^t x) - e^{Bt} G(x) residual the smooth builder accepts on U
 EQUIVARIANCE_TOL = 1e-8
+# largest idempotence and equivariance violation of a supplied phase map
+PHASE_MAP_TOL = 1e-8
 # largest |dG v| along the flow direction at the attractor
 TANGENT_TOL = 1e-5
 # smallest |dG v| along a direction transverse to the attractor
@@ -276,11 +278,12 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
     return float(tau[0]) if x.ndim == 1 else tau.reshape(x.shape[:-1])
 
 
-def _check_phase_map(sys, attractor, P, validation_states, tol=1e-8):
+def _check_phase_map(sys, attractor, P, validation_states):
     from .phase import verify_phase_properties
 
     report = verify_phase_properties(
-        sys, P, validation_states, attractor.cloud[:50], t_grid=(0.0, 0.5, 1.0, 2.0), tol=tol
+        sys, P, validation_states, attractor.cloud[:50], t_grid=(0.0, 0.5, 1.0, 2.0),
+        tol=PHASE_MAP_TOL,
     )
     if not report.passed:
         raise PhaseMapInvalid(

@@ -16,14 +16,14 @@ one loop, each row under its own step control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FlowlinError
-from .integrate import DenseOutput, IntegrationFailure, IntegratorSettings, integrate
+from .integrate import IntegrationFailure, integrate
 
 __all__ = [
     "ChartDescriptor",
@@ -227,7 +227,6 @@ class FlowSystem:
     chart: ChartDescriptor
     closed_form: Callable | None = None
     vector_field: Callable | None = None
-    settings: IntegratorSettings = field(default_factory=IntegratorSettings)
     t_min: Callable = _no_lower_bound
 
     def __post_init__(self):
@@ -295,7 +294,7 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
             out = np.where((t == 0.0)[..., None], x, out)
         return sys.chart.wrap(out)
     # the interpolant at t, through the last accepted step of each row
-    return sys.chart.wrap(integrate(sys.vector_field, x, 0.0, t, sys.settings)(t))
+    return sys.chart.wrap(integrate(sys.vector_field, x, 0.0, t)(t))
 
 
 def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
@@ -303,31 +302,26 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
 
     Closed-form systems are evaluated in one batched evolve call; vector-field
     systems use a single adaptive pass per time direction with dense-output
-    interpolation.
+    interpolation.  A non-finite grid time raises ValueError on both, and a
+    grid time at or below the domain bound raises TimeOutOfDomain naming its
+    grid row.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"{sys.name}: trajectory times must be finite")
     x = np.asarray(x, dtype=float)
+    states = np.broadcast_to(x, t_grid.shape + x.shape)
     if sys.closed_form is not None:
-        return Trajectory(t_grid, evolve(sys, np.broadcast_to(x, t_grid.shape + x.shape), t_grid))
-    for t in t_grid:
-        if t != 0.0:
-            _check_domain(sys, x, float(t))
-
-    dense_fwd: DenseOutput | None = None
-    dense_bwd: DenseOutput | None = None
-    if np.any(t_grid > 0):
-        dense_fwd = integrate(sys.vector_field, x, 0.0, float(t_grid.max()), sys.settings)
-    if np.any(t_grid < 0):
-        dense_bwd = integrate(sys.vector_field, x, 0.0, float(t_grid.min()), sys.settings)
-    states = []
-    for t in t_grid:
-        if t == 0.0:
-            states.append(sys.chart.wrap(x))
-        elif t > 0:
-            states.append(sys.chart.wrap(dense_fwd(float(t))))
-        else:
-            states.append(sys.chart.wrap(dense_bwd(float(t))))
-    return Trajectory(t_grid, np.array(states))
+        return Trajectory(t_grid, evolve(sys, states, t_grid))
+    _check_domain(sys, states, t_grid)
+    states = states.copy()  # rows at t == 0 stay at x
+    ends = np.max(t_grid, initial=0.0), np.min(t_grid, initial=0.0)
+    for side, end in zip((t_grid > 0, t_grid < 0), ends):
+        if side.any():
+            dense = integrate(sys.vector_field, x, 0.0, float(end))
+            for i in np.flatnonzero(side):
+                states[i] = dense(float(t_grid[i]))
+    return Trajectory(t_grid, sys.chart.wrap(states))
 
 
 @dataclass(frozen=True)

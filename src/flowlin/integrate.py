@@ -2,17 +2,18 @@
 
 One loop integrates a batch of states: ``x0`` is one ``(dim,)`` state or an
 ``(N, dim)`` batch, with one end time per row.  Each row keeps its own step
-size, accept/reject decision, step count and ``max_steps`` budget under a
+size, accept/reject decision, step count and ``MAX_STEPS`` budget under a
 mask, so it takes exactly the steps it takes on its own; a single state runs
-the same loop with numpy scalars for its step size and error norm.
+the same loop with numpy scalars for its step size and error norm.  The
+integrator has no settings: ``ABS_TOL``, ``REL_TOL`` and ``MAX_STEPS`` are
+module constants.
 
 The fifth-order solution is propagated; the embedded fourth-order solution
 supplies the local error estimate.  The pair is first-same-as-last: an
 accepted step's seventh stage is the next step's first.  Dense output uses
 the pair's standard quartic interpolant, whose error tracks the step error (a
 cubic Hermite interpolant is one order short of the 1e-8 grid-agreement
-contract at ABS_TOL and REL_TOL).  A ``fixed_step`` setting disables the
-controller, which is what the order-of-convergence checks use.
+contract at ABS_TOL and REL_TOL).
 
 Stage sums are stacked matmuls, one small product per row, and powers are
 numpy's scalar powers taken element by element (``batch_pow``): one product
@@ -23,7 +24,6 @@ row's own, so a batch row would not reproduce its solo run bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import FlowlinError
 
 
 class IntegrationFailure(FlowlinError):
-    """Step size underflowed or the step budget was exhausted."""
+    """Non-finite end time, step size underflow or an exhausted step budget."""
 
 
 # Dormand & Prince (1980) tableau
@@ -71,12 +71,8 @@ _MAX_FACTOR = 10.0
 # error tolerances of the step controller
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class IntegratorSettings:
-    max_steps: int = 1_000_000
-    fixed_step: float | None = None
+# accepted and rejected steps one row may take
+MAX_STEPS = 1_000_000
 
 
 def batch_pow(a, p):
@@ -192,14 +188,15 @@ def _first_bad(bad, t, rows):
     return t[i], f" (row {rows[i]})"
 
 
-def integrate(f, x0, t0: float, t1, settings: IntegratorSettings) -> DenseOutput:
+def integrate(f, x0, t0: float, t1) -> DenseOutput:
     """Integrate dx/dt = f(x) from t0 to t1; returns a dense interpolant.
 
     ``x0`` is one ``(dim,)`` state or a batch whose last axis holds the
     coordinates, and ``f`` maps a batch of states to a batch of derivatives.
     ``t1`` is a scalar or one end time per row, in either direction of time.
-    Raises IntegrationFailure, naming the first failing row of a batch, on
-    step-size underflow or when a row exceeds max_steps.
+    Raises IntegrationFailure, naming the first failing row of a batch, on a
+    non-finite end time, on step-size underflow or when a row exceeds
+    MAX_STEPS.
     """
     x0 = np.asarray(x0, dtype=float)
     shape, dim = x0.shape[:-1], x0.shape[-1]
@@ -209,6 +206,10 @@ def integrate(f, x0, t0: float, t1, settings: IntegratorSettings) -> DenseOutput
         rows, t, steps = np.arange(len(x)), np.full(len(x), float(t0)), np.zeros(len(x), int)
     else:
         x, t1, rows, t, steps = x0, t1[()], 0, np.float64(t0), 0
+    endless = ~np.isfinite(t1)
+    if _any(endless):
+        t_bad, row = _first_bad(endless, t1, rows)
+        raise IntegrationFailure(f"end time {t_bad} is not finite{row}")
     direction = _pick(t1 > t0, 1.0, -1.0)
     snap = 1e-14 * np.maximum(1.0, np.abs(t1))
     live = (t1 - t) * direction > snap
@@ -222,18 +223,15 @@ def integrate(f, x0, t0: float, t1, settings: IntegratorSettings) -> DenseOutput
         )
 
     k0 = f(x)
-    if settings.fixed_step is not None:
-        h_prop = direction * abs(settings.fixed_step)
-    else:
-        h_prop = direction * _initial_step(x, k0, t1 - t0)
+    h_prop = direction * _initial_step(x, k0, t1 - t0)
 
     record = []  # per pass: (rows, accepted, t, t + h, x, stages)
     while True:
         steps = steps + 1
-        over = steps > settings.max_steps
+        over = steps > MAX_STEPS
         if _any(over):
             row = _first_bad(over, t, rows)[1]
-            raise IntegrationFailure(f"exceeded {settings.max_steps} steps{row}")
+            raise IntegrationFailure(f"exceeded {MAX_STEPS} steps{row}")
         # |h| below 1e-14 max(1, |t|)
         tiny = (abs(h_prop) < 1e-14) | (abs(h_prop) < 1e-14 * abs(t))
         if _any(tiny):
@@ -243,19 +241,13 @@ def integrate(f, x0, t0: float, t1, settings: IntegratorSettings) -> DenseOutput
 
         x_new, err, k = _rk_step(f, x, h, k0)
         finite = np.isfinite(x_new).all(axis=-1)
-        if settings.fixed_step is not None:
-            if not _all(finite):
-                t_bad, row = _first_bad(~finite, t, rows)
-                raise IntegrationFailure(f"non-finite state at t = {t_bad:.6g}{row}")
-            accepted = finite
-        else:
-            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-            err_norm = _rms(err / scale)
-            accepted = finite & (err_norm <= 1.0)
-            # a zero error takes the largest factor; np.maximum keeps a NaN
-            factor = _SAFETY * batch_pow(np.maximum(err_norm, 1e-300), -0.2)
-            # a NaN error norm takes the smallest factor; a non-finite state halves the step
-            h_prop = _pick(finite, h * _clip(factor, _MIN_FACTOR, _MAX_FACTOR), 0.5 * h)
+        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
+        err_norm = _rms(err / scale)
+        accepted = finite & (err_norm <= 1.0)
+        # a zero error takes the largest factor; np.maximum keeps a NaN
+        factor = _SAFETY * batch_pow(np.maximum(err_norm, 1e-300), -0.2)
+        # a NaN error norm takes the smallest factor; a non-finite state halves the step
+        h_prop = _pick(finite, h * _clip(factor, _MIN_FACTOR, _MAX_FACTOR), 0.5 * h)
 
         t_new = t + h
         record.append((rows, accepted, t, t_new, x, k))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,10 @@ class KernelDirection:
     basis: tuple  # integer kernel basis vectors of M
     omega: np.ndarray
     omega_terms: tuple  # per basis vector: (prime, rational coefficient vector)
-    zero_kernel: bool
+
+    @property
+    def zero_kernel(self) -> bool:
+        return not self.basis
 
 
 def _rref(rows: list[list[Fraction]]):
@@ -176,6 +180,14 @@ def _integer_nullspace(M: np.ndarray) -> list[tuple[int, ...]]:
     return basis
 
 
+def _direction(n: int, omega_terms) -> np.ndarray:
+    """omega = sum of sqrt(prime) * vector over the (prime, rational vector) terms."""
+    omega = np.zeros(n)
+    for prime, vec in omega_terms:
+        omega = omega + np.sqrt(float(prime)) * np.array([float(v) for v in vec])
+    return omega
+
+
 def kernel_direction(M) -> KernelDirection:
     """Exact rational kernel of the homomorphism matrix with a default flow direction.
 
@@ -186,15 +198,9 @@ def kernel_direction(M) -> KernelDirection:
     flag with omega = 0 (stationary flow).
     """
     M = np.asarray(M, dtype=int)
-    basis = _integer_nullspace(M)
-    if not basis:
-        return KernelDirection((), np.zeros(M.shape[1]), (), True)
-    omega = np.zeros(M.shape[1])
-    terms = []
-    for prime, vec in zip(_PRIMES, basis):
-        omega = omega + np.sqrt(float(prime)) * np.array(vec, dtype=float)
-        terms.append((prime, tuple(Fraction(v) for v in vec)))
-    return KernelDirection(tuple(basis), omega, tuple(terms), False)
+    basis = tuple(_integer_nullspace(M))
+    terms = tuple((prime, tuple(Fraction(v) for v in vec)) for prime, vec in zip(_PRIMES, basis))
+    return KernelDirection(basis, _direction(M.shape[1], terms), terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +212,6 @@ class PinchedTorusSpec:
     M: np.ndarray
     base_region: ArcSet
     pinch_loci: tuple  # n ArcSets (empty allowed)
-    omega: np.ndarray
     omega_terms: tuple  # (prime, rational coefficient vector) pairs
 
     def __post_init__(self):
@@ -216,7 +221,6 @@ class PinchedTorusSpec:
         if len(self.pinch_loci) != self.n:
             raise ValueError(f"need {self.n} pinch loci, got {len(self.pinch_loci)}")
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
         for prime, vec in self.omega_terms:
             residual = M @ np.array([Fraction(v) for v in vec], dtype=object)
             if any(v != 0 for v in residual):
@@ -233,24 +237,25 @@ class PinchedTorusSpec:
                     "whose column of M is not zero"
                 )
 
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The flow direction, derived from ``omega_terms``."""
+        return _direction(self.n, self.omega_terms)
+
 
 def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorusSpec:
     """Build a spec; omega defaults to the prime-mixed kernel direction."""
     base = ArcSet(base_boxes, m)
     loci = tuple(ArcSet(boxes, m) for boxes in loci_boxes)
     if omega_terms is None:
-        kd = kernel_direction(M)
-        omega, terms = kd.omega, kd.omega_terms
+        terms = kernel_direction(M).omega_terms
     else:
         terms = tuple(
             (int(prime), tuple(Fraction(v) for v in vec)) for prime, vec in omega_terms
         )
-        omega = np.zeros(n)
-        for prime, vec in terms:
-            omega = omega + np.sqrt(float(prime)) * np.array([float(v) for v in vec])
     return PinchedTorusSpec(
         n=n, m=m, M=np.asarray(M, dtype=int), base_region=base,
-        pinch_loci=loci, omega=omega, omega_terms=terms,
+        pinch_loci=loci, omega_terms=terms,
     )
 
 

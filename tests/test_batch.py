@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flowlin import catalog, edmd, embed
 from flowlin.embed import BracketFailure, OnAttractor, impact_time
 from flowlin.flows import FlowSystem, TimeOutOfDomain, euclidean, evolve
-from flowlin.integrate import IntegrationFailure, IntegratorSettings, integrate
+from flowlin.integrate import IntegrationFailure, integrate
 
 CLOSED_FORMS = [name for name in catalog.names() if catalog.get(name).system.closed_form]
 ODE_TWINS = [name for name in catalog.names() if catalog.get(name).ode_system]
@@ -262,8 +262,8 @@ def test_batch_dense_output_matches_each_row(name):
     rng = np.random.default_rng(21)
     X = catalog.get(name).sample_states(rng, 8)
     t = _mixed_times(sys, X, rng)
-    dense = integrate(sys.vector_field, X, 0.0, t, sys.settings)
-    solo = [integrate(sys.vector_field, x, 0.0, ti, sys.settings) for x, ti in zip(X, t)]
+    dense = integrate(sys.vector_field, X, 0.0, t)
+    solo = [integrate(sys.vector_field, x, 0.0, ti) for x, ti in zip(X, t)]
     assert len(dense.coeffs) == sum(len(d.coeffs) for d in solo)
     # a step boundary of each row, then inside steps, at the end and past either end
     edges = np.array([d.t_lo[len(d.t_lo) // 2] if len(d.t_lo) else 0.0 for d in solo])
@@ -273,16 +273,13 @@ def test_batch_dense_output_matches_each_row(name):
             np.testing.assert_array_equal(states[i], d(times[i]))
 
 
-def _blowup(max_steps, fixed_step=None):
+def _blowup():
     # dx/dt = x^2 leaves every bound at t = 1 / x0
-    return FlowSystem(
-        "blowup", euclidean(1), vector_field=lambda x: x * x,
-        settings=IntegratorSettings(max_steps=max_steps, fixed_step=fixed_step),
-    )
+    return FlowSystem("blowup", euclidean(1), vector_field=lambda x: x * x)
 
 
 def test_blowup_row_raises_naming_its_row():
-    sys = _blowup(20000)
+    sys = _blowup()
     X = np.array([[0.1], [0.2], [1.0], [0.3]])
     with pytest.raises(IntegrationFailure) as solo:
         evolve(sys, X[2], 2.0)
@@ -291,14 +288,29 @@ def test_blowup_row_raises_naming_its_row():
     assert str(batch.value) == f"{solo.value} (row 2)"
 
 
-def test_max_steps_counts_per_row():
-    # a fixed step of 0.1 takes 10 |t| steps per row
-    sys = _blowup(10, fixed_step=0.1)
+def test_max_steps_counts_per_row(monkeypatch):
+    # from 0.01 a row takes 5, 5, 13 and 2 steps to t = 20, -20, 50 and 2, and 49 to t = 90
+    monkeypatch.setattr("flowlin.integrate.MAX_STEPS", 13)
+    sys = _blowup()
     X = np.full((4, 1), 0.01)
-    out = evolve(sys, X, np.array([1.0, -1.0, 0.5, 1.0]))  # 35 steps, at most 10 per row
+    t = np.array([20.0, -20.0, 50.0, 2.0])
+    dense = integrate(sys.vector_field, X, 0.0, t)
+    assert len(dense.coeffs) > 13  # accepted steps of all rows together
+    out = evolve(sys, X, t)
     assert np.all(np.isfinite(out))
-    with pytest.raises(IntegrationFailure, match=r"^exceeded 10 steps \(row 1\)$"):
-        evolve(sys, X, np.array([1.0, 1.5, 0.5, 2.0]))
+    np.testing.assert_array_equal(out, dense(t))
+    with pytest.raises(IntegrationFailure, match=r"^exceeded 13 steps \(row 2\)$"):
+        evolve(sys, X, np.array([20.0, -20.0, 90.0, 2.0]))
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
+def test_non_finite_end_time_raises_naming_its_row(t_end):
+    sys = catalog.get("log_radial").ode_system
+    X = np.array([[1.5, 0.3], [0.8, 2.0], [2.0, 0.0]])
+    with pytest.raises(IntegrationFailure, match=r"^end time -?(nan|inf) is not finite$"):
+        evolve(sys, X[0], t_end)
+    with pytest.raises(IntegrationFailure, match=r" is not finite \(row 1\)$"):
+        evolve(sys, X, np.array([1.0, t_end, 0.0]))
 
 
 def _fourier_reference(chart, degree, x):

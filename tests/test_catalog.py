@@ -56,7 +56,7 @@ def test_action_invariants():
         entry = catalog.get(name)
         if entry.action is None:
             continue
-        report = verify_action(entry, n_samples=500, tol=1e-9)
+        report = verify_action(entry)
         assert report.passed, f"{name}: {report}"
 
 
