@@ -140,25 +140,29 @@ class ChartDescriptor:
         d = np.abs(np.asarray(a, float) - np.asarray(b, float))
         for i, period in enumerate(self.wraps):
             if period is not None:
-                d[..., i] = np.minimum(d[..., i] % period, period - d[..., i] % period)
+                m = d[..., i] % period
+                d[..., i] = np.minimum(m, period - m)
         return np.sqrt(np.sum(d * d, axis=-1))
 
-    def distances(self, a, states) -> np.ndarray:
-        """Chart distance from the state ``a`` to every row of ``states``.
-
-        ``a`` may also be a batch of the shape of ``states``, which gives
-        the distance of each row of ``a`` to the same row of ``states``.
-        Min over wraps per coordinate and over the identification orbit of
-        each row.  A row with no finite distance (a NaN state) is at
-        distance inf, so it never passes for a close one.
-        """
-        a = self.wrap(a)
-        reps = self.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
+    def _min_over_orbit(self, a: np.ndarray, reps: list) -> np.ndarray:
+        """Distance from the wrapped ``a`` to rows whose orbit is ``reps``; NaN gives inf."""
         best = self._coordinate_distance(a, reps[0])
         for rep in reps[1:]:
             best = np.fmin(best, self._coordinate_distance(a, rep))
         best[np.isnan(best)] = np.inf
         return best
+
+    def distances(self, a, states) -> np.ndarray:
+        """Chart distance from the state ``a`` to every row of ``states``.
+
+        ``a`` may also be a batch broadcasting against ``states``, as ``a -
+        states`` would: ``(N, 1, dim)`` against N states gives an N x N table.
+        Min over wraps per coordinate and over the identification orbit of
+        each row.  A row with no finite distance (a NaN state) is at
+        distance inf, so it never passes for a close one.
+        """
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        return self._min_over_orbit(self.wrap(a), self.orbit(states))
 
     def distance(self, a, b) -> float:
         """Chart distance between two states."""
@@ -172,16 +176,16 @@ class ChartDescriptor:
     def injectivity_margin(self, states, images) -> float:
         """Min over pairs of states of image distance over chart distance.
 
-        ``images`` holds one row per row of ``states``.  Pairs at chart
-        distance <= PAIR_CUTOFF are skipped.  A NaN ratio is kept, so NaN
-        evidence gives a NaN margin, and with no pair left the margin is NaN
-        too: no evidence of injectivity.
+        ``images`` holds one row per row of ``states``, whose orbit is taken
+        once.  Pairs at chart distance <= PAIR_CUTOFF are skipped.  A NaN
+        ratio is kept, so NaN evidence gives a NaN margin, and with no pair
+        left the margin is NaN too: no evidence of injectivity.
         """
-        X = np.atleast_2d(np.asarray(states, dtype=float))
+        reps = self.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
         Y = np.asarray(images, dtype=float)
         ratios = [np.empty(0)]
-        for i in range(len(X) - 1):
-            d_state = self.distances(X[i], X[i + 1 :])
+        for i in range(len(reps[0]) - 1):
+            d_state = self._min_over_orbit(reps[0][i], [rep[i + 1 :] for rep in reps])
             apart = d_state > PAIR_CUTOFF
             diff = Y[i] - Y[i + 1 :][apart]
             ratios.append(np.sqrt(np.vecdot(diff, diff)) / d_state[apart])
@@ -255,18 +259,23 @@ class Trajectory:
 
 
 def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
-    """Raise TimeOutOfDomain when some row's time is at or below its bound."""
-    if sys.t_min is _no_lower_bound:
+    """Raise IntegrationFailure when some row's time is not finite, whichever
+    twin ``sys`` is, and TimeOutOfDomain when it is at or below its bound."""
+    bad = ~np.isfinite(t)
+    finite = not bad.any()
+    if finite and sys.t_min is not _no_lower_bound:
+        bound = np.asarray(sys.t_min(x))
+        bad = np.isfinite(bound) & (t <= bound)
+    if not bad.any():
         return
-    bound = np.asarray(sys.t_min(x))
-    bad = np.isfinite(bound) & (t <= bound)
-    if bad.any():
-        row = np.unravel_index(np.argmax(bad), bad.shape)
-        where = f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
-        raise TimeOutOfDomain(
-            f"{sys.name}: t = {np.broadcast_to(t, bad.shape)[row]:.6g} at or below "
-            f"domain bound {np.broadcast_to(bound, bad.shape)[row]:.6g}{where}"
-        )
+    row = np.unravel_index(np.argmax(bad), bad.shape)
+    where = f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
+    if not finite:
+        raise IntegrationFailure(f"end time {np.asarray(t)[row]} is not finite{where}")
+    raise TimeOutOfDomain(
+        f"{sys.name}: t = {np.broadcast_to(t, bad.shape)[row]:.6g} at or below "
+        f"domain bound {np.broadcast_to(bound, bad.shape)[row]:.6g}{where}"
+    )
 
 
 def evolve(sys: FlowSystem, x, t) -> np.ndarray:
@@ -274,9 +283,9 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
 
     ``x`` is one ``(dim,)`` state or an ``(N, dim)`` batch; ``t`` is a scalar
     or one time per row.  A row with t == 0 comes back as ``wrap(x)``
-    exactly.  Every row is checked against ``sys.t_min``.  A vector field
-    integrates the whole batch in one call, each row under its own step
-    control, and a row's result is its interpolant at its time.
+    exactly.  Every row's time must be finite and above ``sys.t_min``.  A
+    vector field integrates the whole batch in one call, each row under its
+    own step control, and a row's result is its interpolant at its time.
     """
     x = np.asarray(x, dtype=float)
     # np.ndim costs microseconds on a Python float, the common single-state call

@@ -129,13 +129,16 @@ def block_diag(*blocks) -> np.ndarray:
 
 
 def solve_positive_definite(A, b) -> np.ndarray:
-    """X with A X = b for a symmetric positive definite A, by Cholesky.
-
-    Raises ``np.linalg.LinAlgError`` when A is not positive definite.
+    """X with A X = b for a symmetric positive definite A, with the bits of
+    ``scipy.linalg.solve(A, b, assume_a="pos")``: a quotient for 1 x 1, else
+    LAPACK's Cholesky pair (potrf, potrs) without solve's overhead.  Raises
+    ``np.linalg.LinAlgError`` when A is not positive definite.
     """
     import scipy.linalg
 
-    return scipy.linalg.solve(A, b, assume_a="pos")
+    if np.shape(A) == (1, 1) and A[0][0] > 0:
+        return np.divide(b, A[0][0])
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), b)
 
 
 def _canonical_relation(k: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve
+from .integrate import batch_pow
 
 __all__ = [
     "AttractorModel",
@@ -56,28 +57,31 @@ class AttractorModel:
         object.__setattr__(self, "cloud", cloud)
 
     def nearest_point(self, x) -> np.ndarray:
-        """Project a basin point onto the attractor.
+        """Project a basin point, or each row of an ``(N, dim)`` batch, onto the attractor.
 
-        Uses the exact projector when present; otherwise the best cloud point
-        refined by a quadratic fit along the restricted flow.
+        Uses the exact projector when present; otherwise each row's best cloud
+        point refined by a quadratic fit along the restricted flow, with one
+        evolve for all 3N fit points and one for the N results.
         """
         if self.exact_projector is not None:
             return self.restricted_flow.chart.wrap(np.asarray(self.exact_projector(x), float))
-        chart = self.restricted_flow.chart
-        best = self.cloud[int(np.argmin(chart.distances(x, self.cloud)))]
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        chart, flow = self.restricted_flow.chart, self.restricted_flow
+        best = self.cloud[np.argmin(chart.distances(X[:, None, :], self.cloud), axis=-1)]
         # refine along the flow: fit a parabola to d^2 at offsets {-h, 0, h},
         # with h the cloud resolution around the best point
-        gaps = chart.distances(best, self.cloud)
-        gaps = gaps[gaps > 1e-12]
-        h = max(1e-6, float(gaps.min()) if gaps.size else 1e-3)
-        pts = np.array([evolve(self.restricted_flow, best, delta) for delta in (-h, 0.0, h)])
-        # Python float ** 2 (C pow) can differ from numpy's d * d in the last
-        # bit; squaring floats keeps d2 equal to chart.distance(x, p) ** 2
-        d2 = np.array([d**2 for d in chart.distances(x, pts).tolist()])
-        denom = d2[0] - 2 * d2[1] + d2[2]
-        delta_star = 0.0 if denom <= 0 else 0.5 * h * (d2[0] - d2[2]) / denom
-        delta_star = float(np.clip(delta_star, -h, h))
-        return evolve(self.restricted_flow, best, delta_star)
+        gaps = chart.distances(best[:, None, :], self.cloud)
+        apart = gaps > 1e-12
+        h = np.maximum(1e-6, np.where(apart.any(-1), np.where(apart, gaps, np.inf).min(-1), 1e-3))
+        pts = evolve(flow, np.repeat(best, 3, axis=0), (h[:, None] * [-1.0, 0.0, 1.0]).ravel())
+        # batch_pow keeps the bits of the scalar d ** 2, so d2 equals
+        # chart.distance(x, p) ** 2 row by row
+        d2 = batch_pow(chart.distances(np.repeat(X, 3, axis=0), pts), 2).reshape(-1, 3)
+        denom = d2[:, 0] - 2 * d2[:, 1] + d2[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta_star = np.where(denom <= 0, 0.0, 0.5 * h * (d2[:, 0] - d2[:, 2]) / denom)
+        out = evolve(flow, best, np.clip(delta_star, -h, h))
+        return out if np.ndim(x) > 1 else out[0]
 
 
 @dataclass(frozen=True)
@@ -171,14 +175,12 @@ def estimate_phase(
     x,
     schedule: GeometricSchedule,
 ) -> PhaseEstimate:
-    """Estimate the asymptotic phase of a basin point over geometric horizons."""
+    """Estimate the asymptotic phase of a basin point over geometric horizons, in one
+    batched pass, a row per horizon: evolve forward, ``nearest_point``, evolve back."""
     x = np.asarray(x, dtype=float)
-    estimates = []
-    for T in schedule.horizons:
-        forward = evolve(sys, x, T)
-        on_attractor = attractor.nearest_point(forward)
-        estimates.append(evolve(attractor.restricted_flow, on_attractor, -T))
-    estimates = np.array(estimates)
+    T = np.array(schedule.horizons)
+    forward = evolve(sys, np.broadcast_to(x, T.shape + x.shape), T)
+    estimates = evolve(attractor.restricted_flow, attractor.nearest_point(forward), -T)
     classification = _classify(sys.chart, estimates)
     return PhaseEstimate(tuple(schedule.horizons), estimates, classification)
 

@@ -1,7 +1,8 @@
 """One chart distance: scalar, one-to-many and all-pairs paths agree bit for bit,
-quotient orbits are closed over every word in the generators, and the one
-injectivity margin, behind both the EDMD lift scan and the embedding quality
-check, matches the scalar pair loop it replaced."""
+the distance is a metric on the quotient, quotient orbits are closed over every
+word in the generators, and the one injectivity margin, behind both the EDMD
+lift scan and the embedding quality check, matches the scalar pair loop it
+replaced on every chart."""
 
 import numpy as np
 import pytest
@@ -45,6 +46,33 @@ def test_distance_paths_agree_bitwise_on_every_chart(seed):
             row = chart.distances(a, X)
             for j, b in enumerate(X):
                 assert chart.distance(a, b) == row[j] == pairwise[i, j], (name, i, j)
+
+
+# Rounding in an identification's own arithmetic (the Klein bottle's
+# x + 0.5 mod 1) leaves up to a few ulps between d(x, y) and d(y, x), and
+# between g(g(x)) and x, on a quotient chart; without identifications the
+# distance is symmetric bit for bit.
+METRIC_TOL = 1e-12
+COORDS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chart_distance_is_a_metric_on_the_quotient(name, data):
+    chart = CHARTS[name][0]
+    state = st.lists(COORDS, min_size=chart.dim, max_size=chart.dim).map(np.array)
+    x, y, z = data.draw(state), data.draw(state), data.draw(state)
+    d = chart.distance
+    assert d(x, x) == 0.0
+    if chart.identifications:
+        assert abs(d(x, y) - d(y, x)) <= METRIC_TOL
+    else:
+        assert d(x, y) == d(y, x)
+    assert d(x, z) <= d(x, y) + d(y, z) + METRIC_TOL
+    for g in chart.identifications:
+        assert d(x, np.asarray(g(x), float)) <= METRIC_TOL
+        assert abs(d(g(x), y) - d(x, y)) <= METRIC_TOL
 
 
 def _brute_force(shifts, a, X):
@@ -93,6 +121,19 @@ def _scalar_pair_loop_margin(chart, X, lifts):
                 continue
             margin = min(margin, float(np.linalg.norm(lifts[i] - lifts[j])) / d_state)
     return margin
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_injectivity_margin_matches_scalar_pair_loop_on_every_chart(seed):
+    rng = np.random.default_rng(seed)
+    for name, (chart, sampler) in CHARTS.items():
+        X = np.asarray(sampler(rng, 16), float)
+        # identified copies of two states: pairs at chart distance ~0, skipped
+        X = np.concatenate([X, *(np.asarray(g(X[:2]), float) for g in chart.identifications)])
+        images = rng.normal(size=(len(X), 3))
+        margin = chart.injectivity_margin(X, images)
+        assert margin == _scalar_pair_loop_margin(chart, X, images), name
 
 
 def _exact_candidate(entry):

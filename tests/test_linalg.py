@@ -123,6 +123,22 @@ def test_solve_positive_definite():
         solve_positive_definite(-np.eye(3), np.ones(3))
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_solve_positive_definite_matches_scipy_solve_bitwise(n):
+    import scipy.linalg
+
+    rng = np.random.default_rng(100 + n)
+    M = rng.normal(size=(n, n + 3))
+    # a Gram matrix plus a small ridge, as the EDMD fit solves, and one
+    # badly conditioned one
+    for A in (M @ M.T + 1e-6 * np.eye(n), M @ np.diag(np.logspace(-7, 0, n + 3)) @ M.T):
+        b = rng.normal(size=(n, 5))
+        expected = scipy.linalg.solve(A, b, assume_a="pos")
+        assert solve_positive_definite(A, b).tobytes() == expected.tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_positive_definite(M @ M.T - (n + 3) * np.abs(M).max() ** 2 * np.eye(n), b)
+
+
 # --- invariant subspaces of attractor generators ----------------------------------
 
 

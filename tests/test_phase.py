@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowlin import catalog
+from flowlin.flows import evolve
 from flowlin.phase import (
     AttractorModel,
     EmptyAttractor,
@@ -131,6 +132,54 @@ def test_cloud_projection_refinement():
     for theta in (0.3, 2.0, 5.1):
         projected = cloud_only.nearest_point(np.array([1.4, theta]))
         assert entry.system.chart.distance(projected, [1.0, theta]) <= 5e-3
+
+
+def _single_state_nearest_point(model, x):
+    """Reference: the cloud search and parabola refinement, one state at a time."""
+    chart = model.restricted_flow.chart
+    best = model.cloud[int(np.argmin(chart.distances(x, model.cloud)))]
+    gaps = chart.distances(best, model.cloud)
+    gaps = gaps[gaps > 1e-12]
+    h = max(1e-6, float(gaps.min()) if gaps.size else 1e-3)
+    pts = np.array([evolve(model.restricted_flow, best, delta) for delta in (-h, 0.0, h)])
+    d2 = np.array([d**2 for d in chart.distances(x, pts).tolist()])
+    denom = d2[0] - 2 * d2[1] + d2[2]
+    delta_star = 0.0 if denom <= 0 else 0.5 * h * (d2[0] - d2[2]) / denom
+    return evolve(model.restricted_flow, best, float(np.clip(delta_star, -h, h)))
+
+
+def _cloud_model(entry):
+    return AttractorModel(entry.attractor.cloud, entry.attractor.restricted_flow)
+
+
+@pytest.mark.parametrize("name", ["annulus_cubic", "log_radial"])
+def test_batched_nearest_point_matches_single_state_search(name):
+    entry = catalog.get(name)
+    model = _cloud_model(entry)
+    rng = np.random.default_rng(31)
+    near = evolve(entry.system, entry.sample_states(rng, 8), 20.0)
+    X = np.concatenate([entry.sample_states(rng, 30), near, model.cloud[:3]])
+    batch = model.nearest_point(X)
+    assert batch.shape == X.shape
+    for x, row in zip(X, batch):
+        expected = _single_state_nearest_point(model, x)
+        assert row.tobytes() == expected.tobytes()
+        assert model.nearest_point(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["annulus_cubic", "log_radial"])
+def test_estimate_phase_matches_loop_over_horizons(name):
+    entry = catalog.get(name)
+    model = _cloud_model(entry)
+    schedule = GeometricSchedule(1.0, 2.0, 12)
+    for x in entry.sample_states(np.random.default_rng(32), 4):
+        est = estimate_phase(entry.system, model, x, schedule)
+        loop = [
+            evolve(model.restricted_flow,
+                   _single_state_nearest_point(model, evolve(entry.system, x, T)), -T)
+            for T in schedule.horizons
+        ]
+        assert est.estimates.tobytes() == np.array(loop).tobytes()
 
 
 # --- phase-map property checks --------------------------------------------------
