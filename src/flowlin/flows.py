@@ -311,13 +311,15 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
 
     Closed-form systems are evaluated in one batched evolve call; vector-field
     systems use a single adaptive pass per time direction with dense-output
-    interpolation.  A non-finite grid time raises ValueError on both, and a
-    grid time at or below the domain bound raises TimeOutOfDomain naming its
-    grid row.
+    interpolation.  A non-finite or not strictly increasing grid raises
+    ValueError on both before any integration, and a grid time at or below
+    the domain bound raises TimeOutOfDomain naming its grid row.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.all(np.isfinite(t_grid)):
         raise ValueError(f"{sys.name}: trajectory times must be finite")
+    if not np.all(np.diff(t_grid) > 0):
+        raise ValueError("times must be strictly increasing")
     x = np.asarray(x, dtype=float)
     states = np.broadcast_to(x, t_grid.shape + x.shape)
     if sys.closed_form is not None:

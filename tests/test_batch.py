@@ -273,6 +273,32 @@ def test_batch_dense_output_matches_each_row(name):
             np.testing.assert_array_equal(states[i], d(times[i]))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(ODE_TWINS),
+    seed=st.integers(0, 2**32 - 1),
+    # per row: 0 is t = 0, above 0 forward up to t = 2, below 0 backward up to
+    # 90% of the way to the domain bound (at most t = -1.5)
+    reach=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+    cuts=st.sets(st.integers(1, 5)),
+    frac=st.floats(-0.25, 1.25),
+)
+def test_ode_rows_repeat_their_solo_runs_bit_for_bit(name, seed, reach, cuts, frac):
+    sys = catalog.get(name).ode_system
+    X = catalog.get(name).sample_states(np.random.default_rng(seed), len(reach))
+    reach = np.array(reach)
+    t = np.where(reach > 0.0, 2.0 * reach, reach * np.minimum(1.5, -0.9 * sys.t_min(X)))
+    solo_dense = [integrate(sys.vector_field, x, 0.0, ti) for x, ti in zip(X, t)]
+    solo = [evolve(sys, x, float(ti)) for x, ti in zip(X, t)]
+    # the batch cut into consecutive groups, each integrated as one batch
+    for rows in np.split(np.arange(len(X)), sorted(c for c in cuts if c < len(X))):
+        batch = evolve(sys, X[rows], t[rows])
+        states = integrate(sys.vector_field, X[rows], 0.0, t[rows])(frac * t[rows])
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(batch[i], solo[row])
+            np.testing.assert_array_equal(states[i], solo_dense[row](frac * t[row]))
+
+
 def _blowup():
     # dx/dt = x^2 leaves every bound at t = 1 / x0
     return FlowSystem("blowup", euclidean(1), vector_field=lambda x: x * x)
@@ -371,3 +397,14 @@ def test_catalog_custom_dictionary_batch_matches_each_row(name, key):
     assert P.shape == (40, len(labels))
     for i in range(len(X)):
         np.testing.assert_array_equal(P[i], d.evaluate(X[i]))
+
+
+def test_equilibrium_row_integrates_on_both_paths():
+    # f(x0) = 0 puts 0 / 0 in the initial step's size ratio: Python floats raise
+    # on it where numpy warns, so the ratio is guarded on both paths
+    sys = catalog.get("saddle_plane").ode_system
+    X = np.array([[0.0, 0.0], [1.0, 2.0]])
+    batch = integrate(sys.vector_field, X, 0.0, 1.0)(1.0)
+    np.testing.assert_array_equal(batch[0], [0.0, 0.0])
+    for x, row in zip(X, batch):
+        np.testing.assert_array_equal(integrate(sys.vector_field, x, 0.0, 1.0)(1.0), row)

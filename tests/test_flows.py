@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,28 @@ def test_sample_trajectory_rejects_a_nan_time(twin):
         sample_trajectory(sys, [1.5, 0.3], [0.0, np.nan, 1.0])
 
 
+@pytest.mark.parametrize("grid", [[0.0, 10.0, 5.0], [0.0, 1.0, 1.0], [-0.2, -0.5]])
+@pytest.mark.parametrize("twin", ["system", "ode_system"])
+def test_sample_trajectory_rejects_an_unordered_grid_before_any_flow_call(twin, grid):
+    sys = getattr(catalog.get("log_radial"), twin)
+    calls = []
+
+    def counted(flow):
+        def call(*args):
+            calls.append(args)
+            return flow(*args)
+
+        return call
+
+    role = "closed_form" if sys.closed_form is not None else "vector_field"
+    counting = dataclasses.replace(sys, **{role: counted(getattr(sys, role))})
+    with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+        sample_trajectory(counting, [1.5, 0.3], grid)
+    assert calls == []
+    sample_trajectory(counting, [1.5, 0.3], sorted(set(grid)))  # the wrapper does count
+    assert calls
+
+
 @pytest.mark.parametrize("twin", ["system", "ode_system"])
 def test_backward_grid_past_the_domain_bound_names_its_row(twin):
     sys = getattr(catalog.get("annulus_cubic"), twin)
@@ -275,11 +299,14 @@ def test_rk_step_halving_reduces_error_by_the_order():
     x0 = np.array([2.0, 0.0])
     exact = evolve(entry.system, x0, 5.0)
 
+    def coords_field(x):  # the field on a coordinate list, as integrate steps one state
+        return f(np.array(x)).tolist()
+
     def max_err(h):
-        x = x0
+        x = x0.tolist()
         for _ in range(round(5.0 / h)):
-            x = _rk_step(f, x, h, f(x))[0]
-        return entry.system.chart.distance(entry.system.chart.wrap(x), exact)
+            x = _rk_step(coords_field, x, h, coords_field(x))[0]
+        return entry.system.chart.distance(entry.system.chart.wrap(np.array(x)), exact)
 
     assert max_err(0.1) / max_err(0.05) >= 32.0
 

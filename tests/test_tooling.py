@@ -1,4 +1,4 @@
-"""Tooling that names code: the tracer's method table and the README's CLI examples."""
+"""Tooling that names code: the tracer's method table and counters, and the README's CLI examples."""
 
 import ast
 import importlib
@@ -6,9 +6,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowlin import cli
+from flowlin import catalog, cli
+from flowlin.integrate import integrate
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -52,3 +54,43 @@ def test_readme_cli_examples_parse():
         except SystemExit as err:
             command = shlex.join(["flowlin", *argv])
             raise AssertionError(f"README command does not parse: {command}") from err
+
+
+# bench/spans.py counts integrate.steps_accepted as len(DenseOutput.coeffs) and
+# times DenseOutput.__call__, so the segment layout is part of its contract
+
+
+def _assert_tiles(t_lo, t_hi, coeffs, t0, t1, dim):
+    """One (7, dim) stage entry per segment, the segments running from t0 to t1 end to end."""
+    assert len(coeffs) == len(t_lo) == len(t_hi) > 0
+    assert all(np.shape(k) == (7, dim) for k in coeffs)
+    assert t_lo[0] == t0 and list(t_hi[:-1]) == list(t_lo[1:])
+    assert abs(t_hi[-1] - t1) <= 1e-14 * max(1.0, abs(t1))
+    assert all((b - a) * (t1 - t0) > 0 for a, b in zip(t_lo, t_hi))
+
+
+@pytest.mark.parametrize("t1", [7.5, -1.2])
+def test_integrate_keeps_one_segment_per_accepted_step_tiling_its_span(t1):
+    calls = []
+    field = catalog.get("log_radial").ode_system.vector_field
+
+    def counted(x):
+        calls.append(len(x))
+        return field(x)
+
+    X = np.array([[1.5, 0.3], [0.8, 2.0], [2.0, 0.0]])
+    ends = np.array([t1, 0.5 * t1, 0.0])
+    solo = [integrate(counted, x, 0.0, end) for x, end in zip(X[:2], ends)]
+    # f(x0), then six stages per accepted or rejected step
+    assert (len(calls) - 2) % 6 == 0 and len(calls) >= 2 + 6 * sum(len(d.coeffs) for d in solo)
+    for d, end in zip(solo, ends):
+        _assert_tiles(d.t_lo, d.t_hi, d.coeffs, 0.0, end, 2)
+    assert len(integrate(counted, X[2], 0.0, 0.0).coeffs) == 0
+
+    batch = integrate(counted, X, 0.0, ends)
+    assert len(batch.coeffs) == sum(len(d.coeffs) for d in solo)
+    for row, (d, end) in enumerate(zip(solo, ends)):
+        mine = batch.rows == row
+        _assert_tiles(batch.t_lo[mine], batch.t_hi[mine], batch.coeffs[mine], 0.0, end, 2)
+        np.testing.assert_array_equal(batch.t_lo[mine], d.t_lo)
+    assert not (batch.rows == 2).any()
