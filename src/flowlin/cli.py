@@ -48,6 +48,19 @@ def _check(name: str, value, threshold, ok: bool) -> dict:
     return {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}
 
 
+# each comparison is written so that a NaN value fails its check
+def _at_most(name: str, value, threshold) -> dict:
+    return _check(name, value, threshold, value <= threshold)
+
+
+def _at_least(name: str, value, floor) -> dict:
+    return _check(name, value, floor, value >= floor)
+
+
+def _equal(name: str, value, expected) -> dict:
+    return _check(name, value, expected, value == expected)
+
+
 def _write_report(args, checks: list[dict], extra: dict) -> int:
     """Write a command's JSON report; the exit code is 0 when every check passes."""
     # the output path is not configuration: the same run gives the same bytes anywhere
@@ -107,8 +120,10 @@ def _cmd_catalog(args) -> int:
         if not args.out:
             raise UsageError("--emit-trajectory requires --out")
         x0 = _parse_state(args.x, entry)
-        grid = np.linspace(0.0, args.tmax, args.steps)
-        traj = sample_trajectory(entry.system, x0, grid)
+        try:
+            traj = sample_trajectory(entry.system, x0, np.linspace(0.0, args.tmax, args.steps))
+        except ValueError as err:
+            raise UsageError(f"could not sample the trajectory: {err}") from err
         export_trajectory_csv(traj, args.out)
         return 0
 
@@ -128,7 +143,7 @@ def _cmd_catalog(args) -> int:
         "custom_dictionaries": sorted(entry.custom_observables),
     }
     if entry.action is not None:
-        meta["omega"] = [float(v) for v in entry.action.omega.omega]
+        meta["omega"] = [float(v) for v in entry.action.omega]
     _dump_json(meta, args.out)
     return 0
 
@@ -173,14 +188,11 @@ def _evidence_checks(cand, entry, grid, states, tol, floor) -> tuple[list[dict],
     """
     escape = entry.escape_states(16) if entry.escape_states is not None else None
     q = verify_embedding_quality(cand, entry.system, grid, states, escape)
-    # every comparison is written so that a NaN number fails its check
     checks = [
-        _check("linearization_residual", q.linearization_residual, tol,
-               q.linearization_residual <= tol),
-        _check("injectivity_margin", q.injectivity_margin, floor, q.injectivity_margin >= floor),
-        _check("min_jacobian_sigma", q.min_jacobian_sigma, floor, q.min_jacobian_sigma >= floor),
-        _check("batch_agreement", q.batch_disagreement, BATCH_TOL,
-               q.batch_disagreement <= BATCH_TOL),
+        _at_most("linearization_residual", q.linearization_residual, tol),
+        _at_least("injectivity_margin", q.injectivity_margin, floor),
+        _at_least("min_jacobian_sigma", q.min_jacobian_sigma, floor),
+        _at_most("batch_agreement", q.batch_disagreement, BATCH_TOL),
     ]
     if q.properness["available"]:
         rho, flagged = q.properness["spearman_rho"], q.properness["flagged"]
@@ -199,7 +211,7 @@ def _cmd_verify(args) -> int:
         cand = _built_candidate(entry)
 
     states = entry.sample_states(rng, args.samples)
-    times = [0.0, 0.1, 1.0, float(np.pi), float(args.tmax)]
+    times = [*catalog.STANDARD_TIMES[:4], float(args.tmax)]
     checks, properness = _evidence_checks(
         cand, entry, (states, times), states[:256], args.tol, 1e-6
     )
@@ -241,7 +253,7 @@ def _cmd_build(args) -> int:
     )
     extra = {"provenance": cand.provenance, "properness": properness}
     if overlap is not None:
-        checks.append(_check("overlap_identity", overlap, 1e-7, overlap <= 1e-7))
+        checks.append(_at_most("overlap_identity", overlap, 1e-7))
         extra["overlap_identity_residual"] = overlap
     return _write_report(args, checks, extra)
 
@@ -300,9 +312,7 @@ def _cmd_index(args) -> int:
     report_eq = obstruct.hopf_index_2d(
         match.planar_field, (0.0, 0.0), args.radius, args.samples
     )
-    checks = [
-        _check("hopf_index", report_eq.index, match.index, report_eq.index == match.index)
-    ]
+    checks = [_equal("hopf_index", report_eq.index, match.index)]
     extra = {
         "equilibrium": list(match.location),
         "index": report_eq.index,
@@ -355,14 +365,7 @@ def _cmd_certify(args) -> int:
         )
     except (obstruct.DimensionMismatch, ValueError) as err:
         raise UsageError(str(err)) from err
-    checks = [
-        _check(
-            "certificate_granted",
-            verdict.conclusion,
-            obstruct.CERTIFIED,
-            verdict.conclusion == obstruct.CERTIFIED,
-        )
-    ]
+    checks = [_equal("certificate_granted", verdict.conclusion, obstruct.CERTIFIED)]
     extra = {
         "conclusion": verdict.conclusion,
         "applied_rules": list(verdict.applied_rules),
@@ -378,7 +381,7 @@ def _cmd_certify(args) -> int:
 def _cmd_pinched(args) -> int:
     try:
         spec = pinched.load_spec(args.spec)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         raise UsageError(f"could not load spec {args.spec!r}: {err}") from err
 
     if args.emit_trajectory:
@@ -387,8 +390,10 @@ def _cmd_pinched(args) -> int:
         try:
             with open(args.emit_trajectory) as fh:
                 theta0 = np.array(json.load(fh)["theta"], dtype=float)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             raise UsageError(f"could not load start point: {err}") from err
+        if theta0.shape != (spec.n,) or not np.all(np.isfinite(theta0)):
+            raise UsageError(f"start point needs {spec.n} finite angles, got {theta0.tolist()}")
         times = np.linspace(0.0, args.tmax, args.steps)
         orbit = pinched.flow(spec, pinched.make_point(spec, theta0), times)
         states = pinched.canonical_embedding(spec, orbit)
@@ -398,12 +403,8 @@ def _cmd_pinched(args) -> int:
     rng = np.random.default_rng(args.seed)
     family = pinched.verify_family(spec, n_samples=args.samples, rng=rng)
     checks = [
-        _check(
-            "linearity_residual", family.max_linearity_residual, pinched.LINEARITY_TOL,
-            family.max_linearity_residual <= pinched.LINEARITY_TOL,
-        ),
-        _check("quotient_consistency", family.quotient_consistent, True,
-               family.quotient_consistent),
+        _at_most("linearity_residual", family.max_linearity_residual, pinched.LINEARITY_TOL),
+        _equal("quotient_consistency", family.quotient_consistent, True),
         _check("separation_margin", family.min_separation, 0.0, family.min_separation > 0.0),
     ]
     extra = {

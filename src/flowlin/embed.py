@@ -189,15 +189,17 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
     """Unique time tau with V(Phi^tau(x)) = c, for V strictly decreasing in t.
 
     ``x`` is one ``(dim,)`` state, giving a float, or an ``(N, dim)`` batch,
-    giving one time per row.  Each row doubles a unit start bracket, [0, 1]
-    or [-1, 0] by the sign of V(x) - c, up to |tau| <= 100 (backward, at most
-    to the domain bound sys.t_min(x)); then the in-house Chandrupatla loop
-    (``_chandrupatla``), seeded with the values the search found at both
-    ends, refines every row to a bracket width of 1e-14 * (1 + |tau|).  Each
-    probe and each solver iteration is one ``evolve`` call over the rows
-    still searching.  Satisfies the cocycle identity
-    impact_time(Phi^t(x)) = impact_time(x) - t.  Errors are per row and
-    raised for the whole batch: OnAttractor when some row has
+    giving one time per row.  Each row doubles the far end of a unit start
+    bracket, [0, 1] or [-1, 0] by the sign of V(x) - c, up to |tau| <= 100
+    (backward, at most to the domain bound sys.t_min(x)); then the in-house
+    Chandrupatla loop (``_chandrupatla``), seeded with the values the search
+    found at both ends, refines every row to a bracket width of
+    1e-14 * (1 + |tau|).  One search loop serves both directions: each round
+    of it, and each solver iteration, is one ``evolve`` call over the rows
+    still searching, forward and backward rows together, and the search
+    raises in the first round in which some row fails.  Satisfies the
+    cocycle identity impact_time(Phi^t(x)) = impact_time(x) - t.  Errors are
+    per row and raised for the whole batch: OnAttractor when some row has
     V(x) <= ATTRACTOR_TOL, BracketFailure when some row brackets no crossing,
     does not converge, or ends with |V - c| not within IMPACT_TOL (a NaN row
     included).
@@ -220,44 +222,36 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
 
     n = len(X)
     g0 = probe(np.arange(n), np.zeros(n))
-    # V decreases along the flow, so g is decreasing in tau
+    # V decreases along the flow, so g is decreasing in tau: a forward row
+    # doubles its end of [0, 1] while g > 0, a backward row its end of [-1, 0]
+    # while not g >= 0, and both directions share one evolve per round
     forward, backward = g0 > 0, ~(g0 >= 0)
-    lo = np.where(backward, -1.0, 0.0)
-    hi = np.where(forward, 1.0, 0.0)
-    g_lo, g_hi = g0.copy(), g0.copy()
-
-    searching = forward.copy()
-    while searching.any():
-        rows = np.flatnonzero(searching)
-        g_hi[rows] = probe(rows, hi[rows])
-        above = g_hi[rows] > 0
-        hi[rows[above]] *= 2.0
-        if (hi[rows[above]] > MAX_BRACKET).any():
-            raise BracketFailure(f"no crossing of level {c} within tau <= {MAX_BRACKET}")
-        searching[rows[~above]] = False
-
+    end, g_end = np.where(forward, 1.0, -1.0), g0.copy()
     domain = np.broadcast_to(sys.t_min(X), (n,))
-    searching = backward.copy()
+    searching = forward | backward
     while searching.any():
         rows = np.flatnonzero(searching)
         bound = domain[rows]
-        at_bound = np.isfinite(bound) & (lo[rows] <= bound)
-        # probe just inside the domain before giving up
-        lo[rows[at_bound]] = bound[at_bound] + np.maximum(np.abs(bound[at_bound]) * 1e-9, 1e-12)
-        if (lo[rows[~at_bound]] < -MAX_BRACKET).any():
-            raise BracketFailure(f"no crossing of level {c} within tau >= -{MAX_BRACKET}")
-        g_lo[rows] = probe(rows, lo[rows])
-        stuck = at_bound & (g_lo[rows] < 0)
+        at_bound = backward[rows] & np.isfinite(bound) & (end[rows] <= bound)
+        # a backward row probes just inside the domain before giving up
+        end[rows[at_bound]] = bound[at_bound] + np.maximum(np.abs(bound[at_bound]) * 1e-9, 1e-12)
+        beyond = rows[~at_bound & (np.abs(end[rows]) > MAX_BRACKET)]
+        if len(beyond):
+            side = "<= " if forward[beyond[0]] else ">= -"
+            raise BracketFailure(f"no crossing of level {c} within tau {side}{MAX_BRACKET}")
+        g_end[rows] = g = probe(rows, end[rows])
+        stuck = at_bound & (g < 0)
         if stuck.any():
             raise BracketFailure(
                 f"no crossing of level {c} above domain bound {bound[stuck][0]:.6g}"
             )
-        done = at_bound | (g_lo[rows] >= 0)
-        lo[rows[~done]] *= 2.0
-        searching[rows[done]] = False
+        more = ~at_bound & np.where(forward[rows], g > 0, ~(g >= 0))
+        end[rows[more]] *= 2.0
+        searching[rows[~more]] = False
+    lo, g_lo = np.where(forward, 0.0, end), np.where(forward, g0, g_end)
+    hi, g_hi = np.where(forward, end, 0.0), np.where(forward, g_end, g0)
 
-    tau = np.zeros(n)
-    residual = np.zeros(n)
+    tau, residual = np.zeros(n), np.zeros(n)
     solve = np.flatnonzero(forward | backward)
     if len(solve):
         root, f_root, status = _chandrupatla(

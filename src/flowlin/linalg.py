@@ -18,7 +18,7 @@ from .errors import FlowlinError
 
 
 class DimensionTooLarge(FlowlinError):
-    """Frequency vector too long for exhaustive relation search."""
+    """Frequency vector or coefficient bound too large for exhaustive relation search."""
 
 
 class ExpRangeError(FlowlinError):
@@ -27,6 +27,8 @@ class ExpRangeError(FlowlinError):
 
 # exhaustive search over integer relations is only feasible for short vectors
 MAX_INDEPENDENCE_DIM = 4
+# most coefficient tuples in one half of the search box (Q = 50 at n = 4: 101**2)
+MAX_HALF_BOX = 10**5
 
 
 @dataclass(frozen=True)
@@ -51,24 +53,6 @@ class LinearGenerator:
 
 
 @dataclass(frozen=True)
-class FrequencyVector:
-    """Frequency components of a torus flow, one entry per angle."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if w.ndim != 1:
-            raise ValueError("frequency vector must be one-dimensional")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("frequency entries must be finite")
-        object.__setattr__(self, "omega", w)
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-
-@dataclass(frozen=True)
 class IndependenceResult:
     """Outcome of an integer-relation search up to a coefficient bound.
 
@@ -89,10 +73,14 @@ def as_generator(B) -> LinearGenerator:
     return LinearGenerator(np.asarray(B, dtype=float))
 
 
-def as_frequency_vector(omega) -> FrequencyVector:
-    if isinstance(omega, FrequencyVector):
-        return omega
-    return FrequencyVector(np.asarray(omega, dtype=float))
+def frequency_vector(omega) -> np.ndarray:
+    """Frequencies of a torus flow, one per angle, as a finite 1-D float array."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if w.ndim != 1:
+        raise ValueError("frequency vector must be one-dimensional")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("frequency entries must be finite")
+    return w
 
 
 def matrix_exp(B, t) -> np.ndarray:
@@ -156,9 +144,11 @@ def rational_independence(omega, max_coeff: int, tol: float = 1e-9) -> Independe
     """Search for integer relations k . omega ~ 0 with max|k_i| <= max_coeff.
 
     Meet-in-the-middle over the coefficient box; exact on rational input
-    whose relations are detectable at the given tolerance.
+    whose relations are detectable at the given tolerance.  Raises
+    DimensionTooLarge, before building either half of the box, when a half
+    would hold more than MAX_HALF_BOX tuples.
     """
-    w = as_frequency_vector(omega).omega
+    w = frequency_vector(omega)
     n = len(w)
     if n > MAX_INDEPENDENCE_DIM:
         raise DimensionTooLarge(
@@ -178,6 +168,9 @@ def rational_independence(omega, max_coeff: int, tol: float = 1e-9) -> Independe
         return IndependenceResult(True, Q)
 
     split = n // 2
+    size = (2 * Q + 1) ** (n - split)  # tuples of the right half, the larger one
+    if size > MAX_HALF_BOX:
+        raise DimensionTooLarge(f"max_coeff {Q}: {size} tuples in half the box, > {MAX_HALF_BOX}")
     left_coords, right_coords = w[:split], w[split:]
     coeff_range = np.arange(-Q, Q + 1)
 

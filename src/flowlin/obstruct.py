@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve, torus_angles
-from .linalg import as_frequency_vector, rational_independence
+from .linalg import frequency_vector, rational_independence
 
 __all__ = [
     "EquilibriumReport",
@@ -244,7 +244,7 @@ def quasiperiodic_factor_certificate(
     states to their (N, n) torus angles, one row per state.  The certificate
     is explicitly relative to the coefficient bound and the sample set.
     """
-    w = as_frequency_vector(omega).omega
+    w = frequency_vector(omega)
     n = len(w)
     if sys.chart.dim != n:
         raise DimensionMismatch(

@@ -97,6 +97,10 @@ class GeometricSchedule:
             raise ValueError("geometric schedule requires ratio > 1")
         if self.count < 2 or self.t0 <= 0:
             raise ValueError("schedule needs count >= 2 and t0 > 0")
+        with np.errstate(over="ignore"):
+            last = self.t0 * np.float64(self.ratio) ** (self.count - 1)
+        if not np.isfinite(last):
+            raise ValueError(f"schedule's last horizon {last} is not finite")
 
     @property
     def horizons(self):

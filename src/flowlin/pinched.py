@@ -19,6 +19,7 @@ N = 1 case with the leading axis dropped.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlowlinError
-from .flows import torus_angles
 from .linalg import LinearGenerator, block_diag, matrix_exp
 
 __all__ = [
@@ -339,7 +339,6 @@ class FamilyReport:
     max_linearity_residual: float
     quotient_consistent: bool
     min_separation: float
-    min_separation_ratio: float
     max_embedding_radius: float
     n_samples: int
     passed: bool
@@ -390,31 +389,25 @@ def verify_family(
             if not np.all(agree[pa[2][:, locus_index]]):
                 consistent = False
 
-    # torus distance on canonical coordinates; only an exact quotient metric
-    # away from the pinch loci, so the ratio is a probe there.  Each point is
-    # compared with the next 39, one offset k at a time over the whole batch.
-    torus = torus_angles(spec.n)
+    # each point is compared with the next 39, one offset k at a time over the
+    # whole batch
     min_sep = np.inf
-    min_ratio = np.inf
     for k in range(1, 40):
         a, b = slice(None, n_samples - k), slice(k, None)
         apart = ~(np.all(theta[a] == theta[b], axis=1) & np.all(base[a] == base[b], axis=1))
         diff = embeds[a][apart] - embeds[b][apart]
-        sep = np.sqrt(np.vecdot(diff, diff))
         # np.min keeps a NaN separation, so the `> 0` gate below fails on it
-        min_sep = float(np.min(sep, initial=min_sep))
-        dist = torus.distances(theta[a][apart], theta[b][apart])
-        min_ratio = float(np.min(sep[dist > 1e-12] / dist[dist > 1e-12], initial=min_ratio))
+        min_sep = float(np.min(np.sqrt(np.vecdot(diff, diff)), initial=min_sep))
 
     radius = float(np.max(np.linalg.norm(embeds.reshape(n_samples, -1, 2), axis=2)))
     passed = worst <= LINEARITY_TOL and consistent and min_sep > 0.0
-    return FamilyReport(worst, consistent, min_sep, min_ratio, radius, n_samples, passed)
+    return FamilyReport(worst, consistent, min_sep, radius, n_samples, passed)
 
 
 def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):
     """A rational theta with M theta congruent to the target base point, if any."""
     fracs = [Fraction(v).limit_denominator(10**6) for v in base]
-    for offsets in _integer_offsets(spec.m):
+    for offsets in itertools.product((0, -1, 1), repeat=spec.m):
         target = [f + o for f, o in zip(fracs, offsets)]
         rows = [
             [Fraction(int(spec.M[i, j])) for j in range(spec.n)] + [target[i]]
@@ -432,12 +425,6 @@ def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):
             theta[pc] = rref[r][spec.n]
         return np.mod(np.array([float(v) for v in theta]), 1.0)
     return None
-
-
-def _integer_offsets(m: int):
-    from itertools import product as iproduct
-
-    return iproduct((0, -1, 1), repeat=m)
 
 
 # --- JSON spec files ----------------------------------------------------------

@@ -175,6 +175,46 @@ def test_batched_impact_time_evolve_budget(monkeypatch):
     assert len(calls) <= 40
 
 
+class _SolverReached(Exception):
+    pass
+
+
+def test_impact_time_searches_both_directions_in_one_loop(monkeypatch):
+    entry = catalog.get("product_attractor")
+    V, c = entry.lyapunov.V, entry.lyapunov.level
+    X = entry.sample_states(np.random.default_rng(40), 200)
+    calls, brackets = [], []
+
+    def counting_evolve(*args):
+        calls.append(None)
+        return evolve(*args)
+
+    def solver(f, *bracket):
+        brackets.append(np.array(bracket))
+        raise _SolverReached
+
+    monkeypatch.setattr(embed, "evolve", counting_evolve)
+    monkeypatch.setattr(embed, "_chandrupatla", solver)
+
+    def search(rows):
+        """Evolve calls made before the solver starts, and the bracket it gets."""
+        calls.clear()
+        with pytest.raises(_SolverReached):
+            impact_time(entry.system, V, c, rows)
+        return len(calls), brackets[-1]
+
+    forward = np.asarray(V(X)) > c
+    assert 0 < forward.sum() < len(X)
+    fwd_calls, fwd_bracket = search(X[forward])
+    bwd_calls, bwd_bracket = search(X[~forward])
+    both_calls, bracket = search(X)
+    # one evolve for g at tau = 0, then one per round of the longer side
+    assert both_calls == 1 + max(fwd_calls - 1, bwd_calls - 1)
+    assert both_calls < fwd_calls + bwd_calls - 1
+    np.testing.assert_array_equal(bracket[:, forward], fwd_bracket)
+    np.testing.assert_array_equal(bracket[:, ~forward], bwd_bracket)
+
+
 def _snapshots_pair_by_pair(sys, initial_states, step, count):
     """Reference: one evolve call per pair, trajectory after trajectory."""
     per_state = int(np.ceil(count / len(initial_states)))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flowlin import catalog, cli, embed, pinched
+from flowlin import catalog, cli, embed, linalg, pinched
 from flowlin.cli import main
 
 SINGLE_PINCH = {
@@ -329,6 +329,48 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
     assert run([*argv, "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pinched", "--spec", "SPEC_N_NULL", "--check"],
+        ["pinched", "--spec", "SPEC_C_NULL", "--check"],
+        ["pinched", "--spec", "SPEC", "--emit-trajectory", "START_LIST"],
+        ["pinched", "--spec", "SPEC", "--emit-trajectory", "START_ONE_ANGLE"],
+        ["phase", "--system", "log_radial", "--x", "2,0", "--schedule", "geometric:1,2,2000"],
+        ["phase", "--system", "log_radial", "--x", "2,0", "--schedule", "geometric:1,1e308,3"],
+        ["catalog", "show", "sphere_rotation", "--emit-trajectory", "--x", "1,0,0",
+         "--tmax", "1e308", "--steps", "3"],
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    files = {
+        "SPEC": SINGLE_PINCH,
+        "SPEC_N_NULL": {**SINGLE_PINCH, "n": None},
+        "SPEC_C_NULL": {**SINGLE_PINCH, "C": None},
+        "START_LIST": [0.1, 0.2],
+        "START_ONE_ANGLE": {"theta": [0.1]},
+    }
+    for key, data in files.items():
+        (tmp_path / key).write_text(json.dumps(data))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flowlin: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_certify_refuses_an_oversized_search_box(tmp_path, capsys, monkeypatch):
+    # building either half of the coefficient box would raise AttributeError
+    monkeypatch.setattr(linalg, "itertools", None)
+    out = tmp_path / "out"
+    argv = ["certify", "--system", "quasiperiodic_torus_3", "--omega", "1,1.4142,1.7320",
+            "--Q", "100000", "--out", str(out)]
+    assert run(argv) == 2
+    assert "DimensionTooLarge" in capsys.readouterr().err
     assert not out.exists()
 
 

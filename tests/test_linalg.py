@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlin import catalog, linalg
+from flowlin.catalog import TorusActionSpec
 from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
@@ -15,6 +17,7 @@ from flowlin.linalg import (
     rational_independence,
     solve_positive_definite,
 )
+from flowlin.obstruct import quasiperiodic_factor_certificate
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -200,6 +203,35 @@ def test_single_frequency_independent():
 def test_dimension_limit():
     with pytest.raises(DimensionTooLarge):
         rational_independence((1.0, 2.0, 3.0, 4.0, 5.0), 3)
+
+
+def test_search_box_limit_is_met_before_the_box_is_built(monkeypatch):
+    w = (1.0, np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0))
+    assert rational_independence(w, 50).independent  # 101**2 tuples per half
+    # building either half of the box would raise AttributeError
+    monkeypatch.setattr(linalg, "itertools", None)
+    for omega, q in ((w, 159), (w[:3], 10**5), (w[:2], 10**6)):
+        with pytest.raises(DimensionTooLarge, match=f"max_coeff {q}: "):
+            rational_independence(omega, q)
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        ([1.0, np.nan], "frequency entries must be finite"),
+        ([np.inf, 1.0], "frequency entries must be finite"),
+        ([[1.0, 2.0]], "frequency vector must be one-dimensional"),
+    ],
+)
+def test_bad_frequencies_are_rejected_everywhere(omega, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rational_independence(omega, 5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quasiperiodic_factor_certificate(
+            catalog.get("quasiperiodic_torus_2").system, lambda x: x, omega, 5
+        )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TorusActionSpec(action=lambda h, x: x, omega=omega)
 
 
 def test_matches_brute_force_on_random_vectors():
