@@ -27,7 +27,7 @@ from .flows import (
     torus_angles,
 )
 from .integrate import batch_pow
-from .linalg import LinearGenerator, block_diag, frequency_vector
+from .linalg import block_diag, frequency_vector
 from .obstruct import SystemFacts
 from .phase import AttractorModel
 
@@ -81,10 +81,8 @@ class TorusActionSpec:
         object.__setattr__(self, "omega", frequency_vector(self.omega))
 
 
-@dataclass(frozen=True, eq=False)
-class ExactEmbedding:
-    F: Callable
-    B: LinearGenerator
+# bench/tests/test_oracle.py builds exact embeddings as catalog.ExactEmbedding(F, B)
+ExactEmbedding = EmbeddingCandidate
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,12 @@ class CatalogEntry:
     sample_states: Callable  # (rng, count) -> (count, dim) array
     ode_system: FlowSystem | None = None
     action: TorusActionSpec | None = None
-    exact_embedding: ExactEmbedding | None = None
+    exact_embedding: EmbeddingCandidate | None = None
     exact_phase: Callable | None = None
     lyapunov: LyapunovData | None = None
     transverse: TransverseData | None = None
     attractor: AttractorModel | None = None
-    attractor_embedding: tuple | None = None  # (F0 on A, B0)
+    attractor_embedding: EmbeddingCandidate | None = None  # F0 on the attractor
     equilibria: tuple = ()
     facts: SystemFacts | None = None
     escape_states: Callable | None = None  # count -> (states, V values)
@@ -163,7 +161,7 @@ def _torus_entry(n: int) -> CatalogEntry:
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=lambda rng, count: rng.random((count, n)),
         action=action,
-        exact_embedding=ExactEmbedding(F, LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(F, B),
         facts=SystemFacts(dim=n, surface_type="torus" if n == 2 else None,
                           euler_characteristic=0),
     )
@@ -202,7 +200,7 @@ def _sphere_entry() -> CatalogEntry:
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=_sphere_sampler,
         action=action,
-        exact_embedding=ExactEmbedding(lambda x: np.asarray(x, float).copy(), LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(lambda x: np.asarray(x, float).copy(), B),
         equilibria=(north, south),
         facts=SystemFacts(
             dim=2, equilibrium_indices=(1, 1), surface_type="sphere", euler_characteristic=2
@@ -243,7 +241,7 @@ def _klein_entry() -> CatalogEntry:
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=lambda rng, count: rng.random((count, 2)),
         action=action,
-        exact_embedding=ExactEmbedding(_klein_F, LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(_klein_F, B),
         facts=SystemFacts(dim=2, surface_type="klein_bottle", euler_characteristic=0),
     )
 
@@ -273,7 +271,7 @@ def _rp2_entry() -> CatalogEntry:
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=_sphere_sampler,
         action=action,
-        exact_embedding=ExactEmbedding(_rp2_F, LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(_rp2_F, B),
         equilibria=(pole,),
         facts=SystemFacts(
             dim=2, equilibrium_indices=(1,), surface_type="projective_plane",
@@ -332,16 +330,15 @@ def _product_entry() -> CatalogEntry:
         states = np.array([[1.0, 0.0, 0.0, y] for y in ys])
         return states, ys**2
 
-    F0 = (
-        lambda a: np.asarray(a, float)[..., :3],
-        LinearGenerator(block_diag(TWO_PI * _J, np.zeros((1, 1)))),
+    F0 = EmbeddingCandidate(
+        lambda a: np.asarray(a, float)[..., :3], block_diag(TWO_PI * _J, np.zeros((1, 1)))
     )
     return CatalogEntry(
         name="product_attractor",
         system=system,
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=sampler,
-        exact_embedding=ExactEmbedding(lambda x: np.asarray(x, float).copy(), LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(lambda x: np.asarray(x, float).copy(), B),
         exact_phase=_product_phase,
         lyapunov=lyap,
         attractor=attractor,
@@ -518,7 +515,7 @@ def _log_radial_entry() -> CatalogEntry:
     )
     transverse = TransverseData(
         G=_log_radial_G,
-        B=LinearGenerator(_LOG_RADIAL_BG),
+        B=_LOG_RADIAL_BG,
         in_U=lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
     )
 
@@ -532,10 +529,7 @@ def _log_radial_entry() -> CatalogEntry:
         states = np.column_stack([np.exp(vs), np.zeros(count)])
         return states, vs**2
 
-    F0 = (
-        lambda a: join_coords(np.cos(a[..., 1]), np.sin(a[..., 1])),
-        LinearGenerator(_J),
-    )
+    F0 = EmbeddingCandidate(lambda a: join_coords(np.cos(a[..., 1]), np.sin(a[..., 1])), _J)
     exact_lift = (["re_phase", "im_phase", "re_decay", "im_decay"], _log_radial_F)
     return CatalogEntry(
         name="log_radial",
@@ -543,7 +537,7 @@ def _log_radial_entry() -> CatalogEntry:
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=sampler,
         ode_system=ode,
-        exact_embedding=ExactEmbedding(_log_radial_F, LinearGenerator(B)),
+        exact_embedding=EmbeddingCandidate(_log_radial_F, B),
         exact_phase=_log_radial_phase,
         lyapunov=lyap,
         transverse=transverse,
@@ -654,5 +648,4 @@ def exact_embedding_residual(entry: CatalogEntry, grid=None) -> float:
         raise MissingEmbedding(f"{entry.name} has no exact embedding")
     if grid is None:
         grid = standard_grid(entry)
-    cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
-    return verify_linearization(cand, entry.system, grid)
+    return verify_linearization(entry.exact_embedding, entry.system, grid)

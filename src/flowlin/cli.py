@@ -206,16 +206,16 @@ def _cmd_verify(args) -> int:
     if args.embedding == "exact":
         if entry.exact_embedding is None:
             raise UsageError(f"{entry.name} has no exact embedding")
-        cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
+        cand, provenance = entry.exact_embedding, "exact"
     else:
-        cand = _built_candidate(entry)
+        cand, provenance = _built_candidate(entry), "built_topological"
 
     states = entry.sample_states(rng, args.samples)
     times = [*catalog.STANDARD_TIMES[:4], float(args.tmax)]
     checks, properness = _evidence_checks(
         cand, entry, (states, times), states[:256], args.tol, 1e-6
     )
-    return _write_report(args, checks, {"provenance": cand.provenance, "properness": properness})
+    return _write_report(args, checks, {"provenance": provenance, "properness": properness})
 
 
 def _cmd_build(args) -> int:
@@ -251,7 +251,7 @@ def _cmd_build(args) -> int:
     checks, properness = _evidence_checks(
         cand, entry, grid, entry.sample_states(rng, 200), 1e-6, 1e-3
     )
-    extra = {"provenance": cand.provenance, "properness": properness}
+    extra = {"provenance": f"built_{args.mode}", "properness": properness}
     if overlap is not None:
         checks.append(_at_most("overlap_identity", overlap, 1e-7))
         extra["overlap_identity_residual"] = overlap
@@ -267,11 +267,15 @@ def _parse_schedule(text: str) -> phase.GeometricSchedule:
         if kind != "geometric":
             raise ValueError
         t0, ratio, count = params.split(",")
-        return phase.GeometricSchedule(float(t0), float(ratio), int(count))
-    except (ValueError, TypeError) as err:
+        t0, ratio, count = float(t0), float(ratio), int(count)
+    except ValueError as err:
         raise UsageError(
             f"schedule must look like geometric:T0,ratio,count, got {text!r}"
         ) from err
+    try:
+        return phase.GeometricSchedule(t0, ratio, count)
+    except (ValueError, OverflowError) as err:
+        raise UsageError(str(err)) from err
 
 
 def _cmd_phase(args) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve
-from .linalg import LinearGenerator, as_generator, block_diag, matrix_exp
+from .linalg import block_diag, generator, matrix_exp
 from .phase import AttractorModel
 
 __all__ = [
@@ -108,11 +108,13 @@ class LyapunovData:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingCandidate:
-    """A state-to-Euclidean map paired with its claimed generator."""
+    """A state-to-Euclidean map F paired with its claimed generator B, a (k, k) array."""
 
     F: Callable
-    B: LinearGenerator
-    provenance: str  # "exact" | "built_topological" | "built_smooth" | "edmd" | "supplied"
+    B: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "B", generator(self.B))
 
 
 def _chandrupatla(f: Callable, x1, f1, x2, f2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,22 +292,20 @@ def build_topological_embedding(
     sys: FlowSystem,
     attractor: AttractorModel,
     P: Callable,
-    F0: tuple[Callable, LinearGenerator],
+    F0: EmbeddingCandidate,
     lyap: LyapunovData,
     validation_states: Sequence,
 ) -> EmbeddingCandidate:
     """Assemble the basin embedding from phase, attractor embedding, and level data.
 
-    The on-attractor branch absorbs states with V at or below ATTRACTOR_TOL;
-    the neglected decay block is then at most sqrt(ATTRACTOR_TOL / level),
-    which must stay inside the residual budget.
+    ``F0`` is an ``EmbeddingCandidate`` of the attractor.  The on-attractor
+    branch absorbs states with V at or below ATTRACTOR_TOL; the neglected
+    decay block is then at most sqrt(ATTRACTOR_TOL / level), which must stay
+    inside the residual budget.
     """
-    F0_map, B0 = F0[0], as_generator(F0[1])
     _check_phase_map(sys, attractor, P, validation_states)
     res0 = verify_linearization(
-        EmbeddingCandidate(F0_map, B0, "supplied"),
-        attractor.restricted_flow,
-        (attractor.cloud[:25], (0.1, 1.0, 2.0)),
+        F0, attractor.restricted_flow, (attractor.cloud[:25], (0.1, 1.0, 2.0))
     )
     if not res0 <= 1e-8:
         raise PhaseMapInvalid(f"F0 fails to linearize the restricted flow: residual {res0:.3g}")
@@ -326,7 +326,7 @@ def build_topological_embedding(
         if off.any():
             raise ValueError(f"level-set embedding not on the unit sphere: |F1| = {norms[off][0]}")
 
-    k0 = B0.dim
+    F0_map, k0 = F0.F, len(F0.B)
 
     def F(x):
         x = np.asarray(x, dtype=float)
@@ -342,9 +342,7 @@ def build_topological_embedding(
             out[~on, k0:] = np.exp(tau)[:, None] * np.asarray(F1(evolve(sys, Xb, tau)), float)
         return out.reshape(x.shape[:-1] + (k0 + n1,))
 
-    return EmbeddingCandidate(
-        F, LinearGenerator(block_diag(B0.entries, -np.eye(n1))), "built_topological"
-    )
+    return EmbeddingCandidate(F, block_diag(F0.B, -np.eye(n1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +354,7 @@ class TransverseData:
     """
 
     G: Callable
-    B: LinearGenerator
+    B: np.ndarray
     in_U: Callable
 
 
@@ -420,24 +418,26 @@ def build_smooth_embedding(
     sys: FlowSystem,
     attractor: AttractorModel,
     P: Callable,
-    F1A: tuple[Callable, LinearGenerator],
+    F1A: EmbeddingCandidate,
     transverse: TransverseData,
     V: Callable,
     c: float,
     validation_states: Sequence,
 ) -> EmbeddingCandidate:
-    """Assemble the smooth basin embedding (F1A o P, G-conjugated impact map)."""
-    F1A_map, B1 = F1A[0], as_generator(F1A[1])
-    G, B, in_U = transverse.G, as_generator(transverse.B), transverse.in_U
+    """Assemble the smooth basin embedding (F1A o P, G-conjugated impact map).
 
-    eig = np.linalg.eigvals(B.entries)
+    ``F1A`` is an ``EmbeddingCandidate`` of the attractor.
+    """
+    G, B, in_U = transverse.G, generator(transverse.B), transverse.in_U
+
+    eig = np.linalg.eigvals(B)
     if np.any(eig.real >= -1e-9):
         raise ConditionThreeViolated(
             f"transverse generator must be strictly stable, max Re = {eig.real.max():.3g}"
         )
     X = np.asarray(validation_states, dtype=float)
     X_U = X[np.asarray(in_U(X), dtype=bool)]
-    worst = verify_linearization(EmbeddingCandidate(G, B, "supplied"), sys, (X_U, (0.1, 0.5, 1.0)))
+    worst = verify_linearization(EmbeddingCandidate(G, B), sys, (X_U, (0.1, 0.5, 1.0)))
     if not worst <= EQUIVARIANCE_TOL:
         raise ConditionThreeViolated(
             f"G equivariance residual {worst:.3g} > {EQUIVARIANCE_TOL:.3g}"
@@ -445,7 +445,7 @@ def build_smooth_embedding(
     _kernel_check(attractor, G)
     _check_phase_map(sys, attractor, P, validation_states)
 
-    k1, k = B1.dim, B.dim
+    F1A_map, k1, k = F1A.F, len(F1A.B), len(B)
 
     def F(x):
         x = np.asarray(x, dtype=float)
@@ -459,16 +459,14 @@ def build_smooth_embedding(
             out[~inside, k1:] = _conjugated_G(sys, G, B, V, c, X[~inside])
         return out.reshape(x.shape[:-1] + (k1 + k,))
 
-    return EmbeddingCandidate(
-        F, LinearGenerator(block_diag(B1.entries, B.entries)), "built_smooth"
-    )
+    return EmbeddingCandidate(F, block_diag(F1A.B, B))
 
 
 def overlap_identity_residual(
     sys: FlowSystem, transverse: TransverseData, V: Callable, c: float, states: Sequence
 ) -> float:
     """Max disagreement of G(x) and e^{-B tau} G(Phi^tau(x)) on U intersect {V > c}."""
-    G, B, in_U = transverse.G, as_generator(transverse.B), transverse.in_U
+    G, B, in_U = transverse.G, transverse.B, transverse.in_U
     X = np.asarray(states, dtype=float)
     X = X[np.asarray(in_U(X), dtype=bool) & (np.asarray(V(X), float) > c)]
     if not len(X):
@@ -492,7 +490,7 @@ def _grid_batch(sys: FlowSystem, grid) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([X, flowed]), times
 
 
-def _grid_residual(B: LinearGenerator, times: np.ndarray, images: np.ndarray) -> float:
+def _grid_residual(B: np.ndarray, times: np.ndarray, images: np.ndarray) -> float:
     """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of a ``_grid_batch``; 0 if empty."""
     if not len(images):
         return 0.0

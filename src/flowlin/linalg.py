@@ -32,27 +32,6 @@ MAX_HALF_BOX = 10**5
 
 
 @dataclass(frozen=True)
-class LinearGenerator:
-    """Real square matrix generating the linear flow t -> exp(entries * t)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"generator must be square, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("generator dimension must be >= 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("generator entries must be finite")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class IndependenceResult:
     """Outcome of an integer-relation search up to a coefficient bound.
 
@@ -67,10 +46,16 @@ class IndependenceResult:
     relation: tuple[int, ...] | None = None
 
 
-def as_generator(B) -> LinearGenerator:
-    if isinstance(B, LinearGenerator):
-        return B
-    return LinearGenerator(np.asarray(B, dtype=float))
+def generator(B) -> np.ndarray:
+    """Generator of the linear flow t -> exp(B t), as a finite square float array."""
+    a = np.atleast_2d(np.asarray(B, dtype=float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"generator must be square, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("generator dimension must be >= 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("generator entries must be finite")
+    return a
 
 
 def frequency_vector(omega) -> np.ndarray:
@@ -92,16 +77,16 @@ def matrix_exp(B, t) -> np.ndarray:
     """
     import scipy.linalg
 
-    gen = as_generator(B)
+    B = generator(B)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(gen.entries * t[..., None, None])
+        result = scipy.linalg.expm(B * t[..., None, None])
     if not np.all(np.isfinite(result)):
         raise ExpRangeError(
             "exp(B*t) overflows for norm(B*t) = "
-            f"{np.linalg.norm(gen.entries, 1) * np.max(np.abs(t)):.3g}"
+            f"{np.linalg.norm(B, 1) * np.max(np.abs(t)):.3g}"
         )
     return result
 
@@ -171,22 +156,23 @@ def rational_independence(omega, max_coeff: int, tol: float = 1e-9) -> Independe
     size = (2 * Q + 1) ** (n - split)  # tuples of the right half, the larger one
     if size > MAX_HALF_BOX:
         raise DimensionTooLarge(f"max_coeff {Q}: {size} tuples in half the box, > {MAX_HALF_BOX}")
-    left_coords, right_coords = w[:split], w[split:]
     coeff_range = np.arange(-Q, Q + 1)
 
     right_tuples = np.array(list(itertools.product(coeff_range, repeat=n - split)))
-    right_sums = right_tuples @ right_coords
+    right_sums = right_tuples @ w[split:]
     order = np.argsort(right_sums, kind="stable")
     right_sums_sorted = right_sums[order]
 
+    left_tuples = np.array(list(itertools.product(coeff_range, repeat=split)))
+    left_sums = left_tuples @ w[:split]
+    lo = np.searchsorted(right_sums_sorted, -left_sums - tol, side="left")
+    hi = np.searchsorted(right_sums_sorted, -left_sums + tol, side="right")
+
     best: tuple[int, ...] | None = None
-    for left in itertools.product(coeff_range, repeat=split):
-        s_left = float(np.dot(left, left_coords))
-        lo = np.searchsorted(right_sums_sorted, -s_left - tol, side="left")
-        hi = np.searchsorted(right_sums_sorted, -s_left + tol, side="right")
-        for pos in range(lo, hi):
-            right = tuple(int(e) for e in right_tuples[order[pos]])
-            k = tuple(int(e) for e in left) + right
+    for i in np.flatnonzero(hi > lo):
+        left = tuple(int(e) for e in left_tuples[i])
+        for pos in range(lo[i], hi[i]):
+            k = left + tuple(int(e) for e in right_tuples[order[pos]])
             if all(e == 0 for e in k):
                 continue
             if abs(float(np.dot(k, w))) >= tol:

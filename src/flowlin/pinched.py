@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlowlinError
-from .linalg import LinearGenerator, block_diag, matrix_exp
+from .linalg import block_diag, matrix_exp
 
 __all__ = [
     "ArcSet",
@@ -308,12 +308,12 @@ def canonical_embedding(spec: PinchedTorusSpec, point) -> np.ndarray:
     return out
 
 
-def embedding_generator(spec: PinchedTorusSpec) -> LinearGenerator:
+def embedding_generator(spec: PinchedTorusSpec) -> np.ndarray:
     """Block rotations at 2*pi*omega_j on the z factors, zero on the base factors."""
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     blocks = [TWO_PI * w * J for w in spec.omega]
     blocks.append(np.zeros((2 * spec.m, 2 * spec.m)))
-    return LinearGenerator(block_diag(*blocks))
+    return block_diag(*blocks)
 
 
 def sample_points(spec: PinchedTorusSpec, count: int, rng):

@@ -135,7 +135,6 @@ def test_criterion_4_constructive_builders():
             entry.attractor_embedding, entry.transverse,
             entry.lyapunov.V, entry.lyapunov.level, entry.sample_states(rng, 40),
         )
-        assert smooth.provenance == "built_smooth"
         overlap_states = [
             np.array([np.exp(s * rng.uniform(1.1, 3.0)), rng.uniform(0, 2 * np.pi)])
             for s in rng.choice([-1.0, 1.0], 100)

@@ -111,12 +111,11 @@ def test_quality_flags_a_map_that_reads_the_whole_batch():
     F, B = entry.exact_embedding.F, entry.exact_embedding.B
     X = entry.sample_states(np.random.default_rng(16), 20)
     # written for one state: on a batch the norm runs over every row
-    whole = embed.EmbeddingCandidate(lambda x: F(x) * np.linalg.norm(x), B, "supplied")
+    whole = embed.EmbeddingCandidate(lambda x: F(x) * np.linalg.norm(x), B)
     report = embed.verify_embedding_quality(whole, entry.system, (X, ()), X)
     # so the batch_agreement check of `verify` and `build` fails
     assert report.batch_disagreement > embed.BATCH_TOL
-    exact = embed.EmbeddingCandidate(F, B, "exact")
-    report = embed.verify_embedding_quality(exact, entry.system, (X, ()), X)
+    report = embed.verify_embedding_quality(entry.exact_embedding, entry.system, (X, ()), X)
     assert report.batch_disagreement == 0.0
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlin import catalog, edmd
-from flowlin.embed import EmbeddingCandidate, verify_embedding_quality
+from flowlin.embed import verify_embedding_quality
 from flowlin.errors import FlowlinError
 from flowlin.flows import torus_angles
 
@@ -136,10 +136,6 @@ def test_injectivity_margin_matches_scalar_pair_loop_on_every_chart(seed):
         assert margin == _scalar_pair_loop_margin(chart, X, images), name
 
 
-def _exact_candidate(entry):
-    return EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
-
-
 @pytest.mark.parametrize(
     "system, dict_kind",
     [("klein_bottle", "fourier:3"), ("annulus_cubic", "custom:polar_fourier_5"),
@@ -152,7 +148,7 @@ def test_lift_injectivity_margin_matches_scalar_pair_loop(system, dict_kind):
         states = entry.sample_states(rng, 120)
         images = np.array([entry.exact_embedding.F(x) for x in states])
         quality = verify_embedding_quality(
-            _exact_candidate(entry), entry.system, (states, ()), states
+            entry.exact_embedding, entry.system, (states, ()), states
         )
         margin = quality.injectivity_margin
     else:
@@ -182,7 +178,7 @@ def test_nan_image_row_gives_nan_margin():
 def test_single_state_margin_is_no_evidence():
     entry = catalog.get("klein_bottle")
     states = entry.sample_states(np.random.default_rng(13), 1)
-    report = verify_embedding_quality(_exact_candidate(entry), entry.system, (states, ()), states)
+    report = verify_embedding_quality(entry.exact_embedding, entry.system, (states, ()), states)
     # NaN: the injectivity check (`margin >= floor`) fails on it
     assert np.isnan(report.injectivity_margin)
     assert not report.injectivity_margin >= 1e-6

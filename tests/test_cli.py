@@ -58,6 +58,7 @@ def test_verify_exact_log_radial(tmp_path):
     report = read_json(out)
     assert all(c["pass"] for c in report["checks"])
     assert all("threshold" in c for c in report["checks"])
+    assert report["provenance"] == "exact"
 
 
 def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
@@ -143,6 +144,7 @@ def test_build_topological_and_smooth(tmp_path):
                     "--out", str(out)]) == 0
         report = read_json(out)
         assert all(c["pass"] for c in report["checks"])
+        assert report["provenance"] == f"built_{mode}"
     smooth = read_json(tmp_path / "build_smooth.json")
     assert smooth["overlap_identity_residual"] <= 1e-7
 
@@ -156,9 +158,17 @@ def test_phase_command(tmp_path):
     assert len(report["horizons"]) == 8
 
 
-def test_phase_bad_schedule(tmp_path):
-    assert run(["phase", "--system", "log_radial", "--x", "2,0",
-                "--schedule", "arithmetic:1,2,8", "--out", str(tmp_path / "x.json")]) == 2
+def test_phase_bad_schedule(tmp_path, capsys):
+    # a malformed text gets the format message; a well-formed one the schedule's own
+    for schedule, message in [
+        ("arithmetic:1,2,8", "schedule must look like geometric:T0,ratio,count"),
+        ("geometric:1,2,2000", "schedule's last horizon inf is not finite"),
+        ("geometric:1,0.5,4", "geometric schedule requires ratio > 1"),
+        ("geometric:1,2," + "9" * 400, "int too large to convert to float"),
+    ]:
+        assert run(["phase", "--system", "log_radial", "--x", "2,0",
+                    "--schedule", schedule, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"flowlin: {message}")
 
 
 def test_index_command(tmp_path):
@@ -399,6 +409,7 @@ def test_built_verify_makes_three_solves_and_two_F_calls(monkeypatch, tmp_path):
     # the builder's validation, the one evidence batch and the single state
     assert len(solves) == 3 and solves[-1] == 1
     assert len(calls) == 2 and calls[1] == (2,)
+    assert read_json(out)["provenance"] == "built_topological"
 
 
 def test_help_exits_cleanly():

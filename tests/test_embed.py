@@ -19,7 +19,7 @@ from flowlin.embed import (
     verify_linearization,
 )
 from flowlin.flows import evolve
-from flowlin.linalg import LinearGenerator, matrix_exp
+from flowlin.linalg import matrix_exp
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,6 @@ def test_built_topological_log_radial(log_radial, validation_states):
         log_radial.system, log_radial.attractor, log_radial.exact_phase,
         log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
     )
-    assert cand.provenance == "built_topological"
     grid = catalog.standard_grid(log_radial)
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-6
 
@@ -212,7 +211,7 @@ def test_built_embedding_vanishes_on_attractor(log_radial, validation_states):
         log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
     )
     a = np.array([1.0, 1.2])
-    F0_map = log_radial.attractor_embedding[0]
+    F0_map = log_radial.attractor_embedding.F
     np.testing.assert_allclose(cand.F(a)[:2], F0_map(a), atol=1e-15)
     np.testing.assert_array_equal(cand.F(a)[2:], np.zeros(4))
 
@@ -246,7 +245,6 @@ def test_built_smooth_log_radial(log_radial, validation_states):
         log_radial.attractor_embedding, log_radial.transverse,
         log_radial.lyapunov.V, 1.0, validation_states,
     )
-    assert cand.provenance == "built_smooth"
     grid = catalog.standard_grid(log_radial)
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-8
 
@@ -268,7 +266,7 @@ def test_smooth_overlap_identity(log_radial):
 def test_degenerate_transverse_map_rejected(log_radial, validation_states):
     zero = TransverseData(
         G=lambda x: np.zeros(np.shape(x)[:-1] + (2,)),
-        B=LinearGenerator(np.array([[-1.0, -1.0], [1.0, -1.0]])),
+        B=np.array([[-1.0, -1.0], [1.0, -1.0]]),
         in_U=lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
     )
     with pytest.raises(ConditionThreeViolated):
@@ -282,7 +280,7 @@ def test_degenerate_transverse_map_rejected(log_radial, validation_states):
 def test_unstable_transverse_generator_rejected(log_radial, validation_states):
     bad = TransverseData(
         G=log_radial.transverse.G,
-        B=LinearGenerator(np.array([[0.1, 0.0], [0.0, -1.0]])),
+        B=np.array([[0.1, 0.0], [0.0, -1.0]]),
         in_U=lambda x: True,
     )
     with pytest.raises(ConditionThreeViolated):
@@ -297,18 +295,14 @@ def test_unstable_transverse_generator_rejected(log_radial, validation_states):
 
 
 def test_residual_zero_at_time_zero(log_radial):
-    cand = EmbeddingCandidate(
-        log_radial.exact_embedding.F, log_radial.exact_embedding.B, "exact"
-    )
+    cand = log_radial.exact_embedding
     states = log_radial.sample_states(np.random.default_rng(2), 10)
     assert verify_linearization(cand, log_radial.system, (states, [0.0])) == 0.0
 
 
 def test_perturbed_generator_detected(log_radial):
-    B = log_radial.exact_embedding.B.entries
-    cand = EmbeddingCandidate(
-        log_radial.exact_embedding.F, LinearGenerator(B + 0.1 * np.eye(4)), "exact"
-    )
+    B = log_radial.exact_embedding.B
+    cand = EmbeddingCandidate(log_radial.exact_embedding.F, B + 0.1 * np.eye(4))
     states = log_radial.sample_states(np.random.default_rng(3), 10)
     residual = verify_linearization(cand, log_radial.system, (states, [1.0]))
     # e^{(B + 0.1 I) t} = e^{0.1 t} e^{B t}: unit-norm first block drifts by e^0.1 - 1
@@ -317,8 +311,8 @@ def test_perturbed_generator_detected(log_radial):
 
 def test_residual_triangle_propagation(log_radial):
     # use a mildly wrong generator so the residuals sit well above rounding
-    B = LinearGenerator(log_radial.exact_embedding.B.entries + 1e-8 * np.eye(4))
-    cand = EmbeddingCandidate(log_radial.exact_embedding.F, B, "exact")
+    B = log_radial.exact_embedding.B + 1e-8 * np.eye(4)
+    cand = EmbeddingCandidate(log_radial.exact_embedding.F, B)
     states = log_radial.sample_states(np.random.default_rng(4), 10)
     s, t = 0.7, 1.9
     eps = max(
@@ -337,9 +331,7 @@ def test_built_embedding_conjugacy_algebra(log_radial, validation_states):
         log_radial.system, log_radial.attractor, log_radial.exact_phase,
         log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
     )
-    wrong = EmbeddingCandidate(
-        cand.F, LinearGenerator(cand.B.entries + 1e-6 * np.eye(cand.B.dim)), cand.provenance
-    )
+    wrong = EmbeddingCandidate(cand.F, cand.B + 1e-6 * np.eye(len(cand.B)))
     rng = np.random.default_rng(33)
     s, t = 0.8, 1.3
     states = log_radial.sample_states(rng, 8)
@@ -352,9 +344,7 @@ def test_built_embedding_conjugacy_algebra(log_radial, validation_states):
 
 
 def test_quality_exact_log_radial(log_radial):
-    cand = EmbeddingCandidate(
-        log_radial.exact_embedding.F, log_radial.exact_embedding.B, "exact"
-    )
+    cand = log_radial.exact_embedding
     states = log_radial.sample_states(np.random.default_rng(5), 300)
     report = verify_embedding_quality(
         cand, log_radial.system, (states, [0.1, 1.0]), states, log_radial.escape_states(16)
@@ -369,9 +359,7 @@ def test_quality_exact_log_radial(log_radial):
 
 
 def test_quality_flags_constant_map(log_radial):
-    cand = EmbeddingCandidate(
-        lambda x: np.zeros(np.shape(x)[:-1] + (3,)), LinearGenerator(np.zeros((3, 3))), "exact"
-    )
+    cand = EmbeddingCandidate(lambda x: np.zeros(np.shape(x)[:-1] + (3,)), np.zeros((3, 3)))
     states = log_radial.sample_states(np.random.default_rng(6), 50)
     report = verify_embedding_quality(cand, log_radial.system, (states, ()), states)
     assert report.injectivity_margin == 0.0
@@ -382,7 +370,7 @@ def test_quality_flags_constant_map(log_radial):
 
 def test_quality_klein_quotient():
     entry = catalog.get("klein_bottle")
-    cand = EmbeddingCandidate(entry.exact_embedding.F, entry.exact_embedding.B, "exact")
+    cand = entry.exact_embedding
     states = entry.sample_states(np.random.default_rng(7), 300)
     report = verify_embedding_quality(cand, entry.system, (states, ()), states)
     # identified pairs are excluded by the quotient chart distance, so the

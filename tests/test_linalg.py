@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from flowlin import catalog, linalg
 from flowlin.catalog import TorusActionSpec
+from flowlin.embed import EmbeddingCandidate
 from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
-    LinearGenerator,
     block_diag,
+    generator,
     matrix_exp,
     rational_independence,
     solve_positive_definite,
@@ -99,10 +100,15 @@ def test_group_law_random_generators():
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        LinearGenerator(np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        LinearGenerator(np.array([[np.inf]]))
+    with pytest.raises(ValueError, match=r"generator must be square, got shape \(1, 2\)"):
+        generator([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="generator dimension must be >= 1"):
+        generator(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="generator entries must be finite"):
+        generator([[np.inf]])
+    # the one (F, B) type stores its generator through the same check
+    with pytest.raises(ValueError, match="generator must be square"):
+        EmbeddingCandidate(lambda x: x, [[1.0, 2.0]])
 
 
 # --- block-diagonal assembly and positive definite solves ------------------------

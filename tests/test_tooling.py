@@ -1,4 +1,5 @@
-"""Tooling that names code: the tracer's method table and counters, and the README's CLI examples."""
+"""Tooling that names code: the tracer's method table and counters, module
+exports, and the README's CLI examples."""
 
 import ast
 import importlib
@@ -31,6 +32,16 @@ def _traced_methods():
 def test_traced_method_is_defined_on_its_class(module, cls, method):
     owner = getattr(importlib.import_module(f"flowlin.{module}"), cls)
     assert method in owner.__dict__, f"bench/spans.py traces {cls}.{method}, which is gone"
+
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "flowlin").glob("[!_]*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"flowlin.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"flowlin.{module}.__all__ names {missing}, which are gone"
 
 
 def _readme_commands():
