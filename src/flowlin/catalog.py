@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embed import EmbeddingCandidate, LyapunovData, TransverseData, verify_linearization
+from .embed import EmbeddingCandidate, LyapunovData, TransverseData
 from .errors import FlowlinError
 from .flows import (
     ChartDescriptor,
@@ -39,11 +39,9 @@ __all__ = [
     "CatalogEntry",
     "UnknownEntry",
     "MissingAction",
-    "MissingEmbedding",
     "names",
     "get",
     "verify_action",
-    "exact_embedding_residual",
     "standard_grid",
     "STANDARD_TIMES",
 ]
@@ -55,10 +53,6 @@ class UnknownEntry(FlowlinError):
 
 class MissingAction(FlowlinError):
     """Entry carries no torus action."""
-
-
-class MissingEmbedding(FlowlinError):
-    """Entry carries no exact embedding."""
 
 
 TWO_PI = 2.0 * np.pi
@@ -180,17 +174,20 @@ def _sphere_sampler(rng, count):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+# the circle action of the sphere rotation and its north pole, shared with the
+# projective plane, where the north pole stands for the antipodal pair of poles
+_SPHERE_ACTION = TorusActionSpec(
+    action=lambda h, x: _sphere_closed(h[..., 0], np.asarray(x, float)), omega=[1.0]
+)
+_NORTH_POLE = EquilibriumInfo(
+    (0.0, 0.0, 1.0), 1, lambda p: TWO_PI * np.column_stack([-p[:, 1], p[:, 0]])
+)
+
+
 def _sphere_entry() -> CatalogEntry:
     chart = euclidean(3)
     system = FlowSystem(name="sphere_rotation", chart=chart, closed_form=_sphere_closed)
-    action = TorusActionSpec(
-        action=lambda h, x: _sphere_closed(h[..., 0], np.asarray(x, float)),
-        omega=[1.0],
-    )
     B = block_diag(TWO_PI * _J, np.zeros((1, 1)))
-    north = EquilibriumInfo(
-        (0.0, 0.0, 1.0), 1, lambda p: TWO_PI * np.column_stack([-p[:, 1], p[:, 0]])
-    )
     south = EquilibriumInfo(
         (0.0, 0.0, -1.0), 1, lambda p: TWO_PI * np.column_stack([p[:, 1], -p[:, 0]])
     )
@@ -199,9 +196,9 @@ def _sphere_entry() -> CatalogEntry:
         system=system,
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=_sphere_sampler,
-        action=action,
+        action=_SPHERE_ACTION,
         exact_embedding=EmbeddingCandidate(lambda x: np.asarray(x, float).copy(), B),
-        equilibria=(north, south),
+        equilibria=(_NORTH_POLE, south),
         facts=SystemFacts(
             dim=2, equilibrium_indices=(1, 1), surface_type="sphere", euler_characteristic=2
         ),
@@ -257,22 +254,15 @@ def _rp2_F(x):
 def _rp2_entry() -> CatalogEntry:
     chart = ChartDescriptor("euclidean", (None, None, None), (lambda p: -np.asarray(p, float),))
     system = FlowSystem(name="projective_plane", chart=chart, closed_form=_sphere_closed)
-    action = TorusActionSpec(
-        action=lambda h, x: _sphere_closed(h[..., 0], np.asarray(x, float)),
-        omega=[1.0],
-    )
     B = block_diag(2 * TWO_PI * _J, -TWO_PI * _J, np.zeros((1, 1)))
-    pole = EquilibriumInfo(
-        (0.0, 0.0, 1.0), 1, lambda p: TWO_PI * np.column_stack([-p[:, 1], p[:, 0]])
-    )
     return CatalogEntry(
         name="projective_plane",
         system=system,
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=_sphere_sampler,
-        action=action,
+        action=_SPHERE_ACTION,
         exact_embedding=EmbeddingCandidate(_rp2_F, B),
-        equilibria=(pole,),
+        equilibria=(_NORTH_POLE,),
         facts=SystemFacts(
             dim=2, equilibrium_indices=(1,), surface_type="projective_plane",
             euler_characteristic=1,
@@ -604,9 +594,8 @@ def get(name: str) -> CatalogEntry:
     return _CACHE[name]
 
 
-def standard_grid(entry: CatalogEntry, rng=None):
-    """The default verification grid: 20 seeded random states x STANDARD_TIMES."""
-    rng = rng or np.random.default_rng(0)
+def standard_grid(entry: CatalogEntry, rng):
+    """The default verification grid: 20 states drawn from ``rng`` x STANDARD_TIMES."""
     return entry.sample_states(rng, 20), list(STANDARD_TIMES)
 
 
@@ -640,12 +629,3 @@ def verify_action(entry: CatalogEntry) -> ActionReport:
     ident, add, match = (float(np.max(v, initial=0.0)) for v in (ident, add, match))
     passed = ident <= ACTION_TOL and add <= ACTION_TOL and match <= ACTION_TOL
     return ActionReport(ident, add, match, ACTION_SAMPLES, passed)
-
-
-def exact_embedding_residual(entry: CatalogEntry, grid=None) -> float:
-    """Max linearization residual of the packaged exact embedding."""
-    if entry.exact_embedding is None:
-        raise MissingEmbedding(f"{entry.name} has no exact embedding")
-    if grid is None:
-        grid = standard_grid(entry)
-    return verify_linearization(entry.exact_embedding, entry.system, grid)

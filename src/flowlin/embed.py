@@ -347,7 +347,7 @@ def build_topological_embedding(
 
 @dataclass(frozen=True, eq=False)
 class TransverseData:
-    """Equivariant map G: U -> R^k with strictly stable generator.
+    """Equivariant map G: U -> R^k with strictly stable generator B, a (k, k) array.
 
     ``in_U`` is the membership predicate of the open set U containing the
     attractor where G(Phi^t(x)) = e^{Bt} G(x) holds directly.
@@ -356,6 +356,9 @@ class TransverseData:
     G: Callable
     B: np.ndarray
     in_U: Callable
+
+    def __post_init__(self):
+        object.__setattr__(self, "B", generator(self.B))
 
 
 def _fd_probes(x) -> np.ndarray:
@@ -371,18 +374,10 @@ def _fd_difference(values) -> np.ndarray:
     return np.swapaxes(values[..., :dim, :] - values[..., dim:, :], -1, -2) / (2 * FD_STEP)
 
 
-def _fd_jacobian(f: Callable, x) -> np.ndarray:
-    """Central-difference Jacobians of f with step FD_STEP: (..., dim) -> (..., k, dim).
-
-    All 2 * dim probes of every state go through one call of f.
-    """
-    return _fd_difference(np.asarray(f(_fd_probes(x)), dtype=float))
-
-
 def _kernel_check(attractor, G):
     """Tangent directions must be annihilated by dG at the attractor; transverse not."""
     A = attractor.cloud[:50]
-    J = _fd_jacobian(G, A)
+    J = _fd_difference(np.asarray(G(_fd_probes(A)), dtype=float))
     delta = 1e-4
     fwd = evolve(attractor.restricted_flow, A, delta)
     bwd = evolve(attractor.restricted_flow, A, -delta)
@@ -428,7 +423,7 @@ def build_smooth_embedding(
 
     ``F1A`` is an ``EmbeddingCandidate`` of the attractor.
     """
-    G, B, in_U = transverse.G, generator(transverse.B), transverse.in_U
+    G, B, in_U = transverse.G, transverse.B, transverse.in_U
 
     eig = np.linalg.eigvals(B)
     if np.any(eig.real >= -1e-9):
@@ -465,12 +460,15 @@ def build_smooth_embedding(
 def overlap_identity_residual(
     sys: FlowSystem, transverse: TransverseData, V: Callable, c: float, states: Sequence
 ) -> float:
-    """Max disagreement of G(x) and e^{-B tau} G(Phi^tau(x)) on U intersect {V > c}."""
+    """Max disagreement of G(x) and e^{-B tau} G(Phi^tau(x)) on U intersect {V > c}.
+
+    NaN when no state lies in U intersect {V > c}: no evidence.
+    """
     G, B, in_U = transverse.G, transverse.B, transverse.in_U
     X = np.asarray(states, dtype=float)
     X = X[np.asarray(in_U(X), dtype=bool) & (np.asarray(V(X), float) > c)]
     if not len(X):
-        return 0.0
+        return np.nan
     diff = np.asarray(G(X), dtype=float) - _conjugated_G(sys, G, B, V, c, X)
     # np.max keeps a NaN residual, so the caller's `<= tol` gate fails on it
     return float(np.max(np.sqrt(np.vecdot(diff, diff))))
@@ -491,9 +489,9 @@ def _grid_batch(sys: FlowSystem, grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_residual(B: np.ndarray, times: np.ndarray, images: np.ndarray) -> float:
-    """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of a ``_grid_batch``; 0 if empty."""
+    """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of a ``_grid_batch``; NaN if empty."""
     if not len(images):
-        return 0.0
+        return np.nan
     images = images.reshape(len(times) + 1, -1, images.shape[-1])
     exps = matrix_exp(B, times)[:, None]
     diff = images[1:] - np.matmul(exps, images[0][..., None])[..., 0]
@@ -504,7 +502,8 @@ def _grid_residual(B: np.ndarray, times: np.ndarray, images: np.ndarray) -> floa
 def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> float:
     """Max over (states x times) of ||F(Phi^t(x)) - e^{Bt} F(x)||.
 
-    The states and every flowed copy of them go through one call of F.
+    The states and every flowed copy of them go through one call of F.  NaN
+    when the grid has no state or no time: no evidence.
     """
     batch, times = _grid_batch(sys, grid)
     images = np.asarray(cand.F(batch), dtype=float) if len(batch) else batch
@@ -550,14 +549,14 @@ def verify_embedding_quality(
     and their images: quotient-identified pairs are skipped, and a NaN image
     or a single state (no evidence) gives NaN.  The smallest singular value
     comes from a central-difference Jacobian with step FD_STEP at every
-    state.  ``escape`` is ``(states, values)`` along an escape path, or None;
-    with at least 4 states it gives the properness probe, never a
-    certificate.  The grid states and their flowed copies, ``states`` and
-    their Jacobian probes and the escape states go through one call of F;
-    the first state goes through F once more alone, and the distance of
-    that image from its batch row is the batch disagreement, so a map
-    written for one state that reads its whole argument shows up instead
-    of silently misreading a batch.
+    state, and is NaN with no state.  ``escape`` is ``(states, values)``
+    along an escape path, or None; with at least 4 states it gives the
+    properness probe, never a certificate.  The grid states and their
+    flowed copies, ``states`` and their Jacobian probes and the escape
+    states go through one call of F; the first state goes through F once
+    more alone, and the distance of that image from its batch row is the
+    batch disagreement, so a map written for one state that reads its
+    whole argument shows up instead of silently misreading a batch.
     """
     states = np.asarray(states, dtype=float)
     n, dim = len(states), states.shape[-1]
@@ -592,7 +591,7 @@ def verify_embedding_quality(
     return QualityReport(
         linearization_residual=_grid_residual(cand.B, times, grid_images),
         injectivity_margin=sys.chart.injectivity_margin(states, images),
-        min_jacobian_sigma=float(np.min(sigmas, initial=np.inf)),
+        min_jacobian_sigma=float(np.min(sigmas)) if n else np.nan,
         batch_disagreement=disagreement,
         properness=properness,
     )

@@ -169,9 +169,9 @@ class ChartDescriptor:
         return float(self.distances(a, b)[0])
 
     def pairwise_distances(self, states: np.ndarray) -> np.ndarray:
-        """All-pairs chart distance for an (N, dim) array of states, row by row."""
+        """All-pairs chart distance for an (N, dim) array of states: an N x N table."""
         X = np.asarray(states, float)
-        return np.array([self.distances(x, X) for x in X]).reshape(len(X), len(X))
+        return self.distances(X[:, None, :], X)
 
     def injectivity_margin(self, states, images) -> float:
         """Min over pairs of states of image distance over chart distance.
@@ -349,7 +349,8 @@ def check_group_law(sys: FlowSystem, samples: Sequence, tol: float) -> GroupLawR
     All samples go through three batched evolve calls.  Evolve errors are
     collected, not raised, so one bad sample does not abort the rest: a
     failing batch is split in halves until each failing sample has raised
-    its own error on its own.
+    its own error on its own.  With no sample checked, the violation is NaN
+    and the report fails: no evidence.
     """
     failures = []
 
@@ -375,7 +376,7 @@ def check_group_law(sys: FlowSystem, samples: Sequence, tol: float) -> GroupLawR
         xs, s, t = (np.asarray(c, dtype=float) for c in zip(*samples))
         found = violations(xs, s, t, np.arange(len(samples)))
     # np.max keeps a NaN violation, so the report fails on it
-    worst = float(np.max(found, initial=0.0))
+    worst = float(np.max(found)) if len(found) else np.nan
     return GroupLawReport(
         max_violation=worst,
         n_checked=len(found),

@@ -211,6 +211,7 @@ def verify_phase_properties(
     (i) P(P(x)) = P(x) on basin samples and P = id on attractor samples;
     (ii) P(Phi^t(x)) = Phi^t(P(x)) within tol on samples x t_grid;
     (iii) dist(Phi^t(x), Phi^t(P(x))) is eventually non-increasing along t_grid.
+    A violation over no samples (or no times) is NaN, so the report fails.
     """
     chart = sys.chart
     X = np.asarray(samples, dtype=float)
@@ -228,6 +229,8 @@ def verify_phase_properties(
     tail = np.array(gaps[1:])
     decreasing = not np.any(tail[1:] > tail[:-1] + tol)
     # np.max keeps a NaN violation, so the `<= tol` gates below fail on it
-    idem, restrict, equiv = (float(np.max(v, initial=0.0)) for v in (idem, restrict, equiv))
+    idem, restrict, equiv = (
+        float(np.max(v)) if np.size(v) else np.nan for v in (idem, restrict, equiv)
+    )
     passed = idem <= tol and restrict <= tol and equiv <= tol and decreasing
     return PhaseReport(idem, restrict, equiv, decreasing, passed)

@@ -33,7 +33,6 @@ from .linalg import block_diag, matrix_exp
 __all__ = [
     "ArcSet",
     "PinchedTorusSpec",
-    "KernelDirection",
     "NotInFamily",
     "kernel_direction",
     "make_point",
@@ -42,7 +41,6 @@ __all__ = [
     "embedding_generator",
     "verify_family",
     "load_spec",
-    "spec_to_dict",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -120,20 +118,6 @@ class ArcSet:
                 return False
         return True
 
-    def to_json(self):
-        return [[[str(lo), str(hi)] for lo, hi in box] for box in self.boxes]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelDirection:
-    basis: tuple  # integer kernel basis vectors of M
-    omega: np.ndarray
-    omega_terms: tuple  # per basis vector: (prime, rational coefficient vector)
-
-    @property
-    def zero_kernel(self) -> bool:
-        return not self.basis
-
 
 def _rref(rows: list[list[Fraction]]):
     rows = [list(r) for r in rows]
@@ -180,27 +164,17 @@ def _integer_nullspace(M: np.ndarray) -> list[tuple[int, ...]]:
     return basis
 
 
-def _direction(n: int, omega_terms) -> np.ndarray:
-    """omega = sum of sqrt(prime) * vector over the (prime, rational vector) terms."""
-    omega = np.zeros(n)
-    for prime, vec in omega_terms:
-        omega = omega + np.sqrt(float(prime)) * np.array([float(v) for v in vec])
-    return omega
+def kernel_direction(M) -> tuple:
+    """The default flow direction of the homomorphism matrix as omega terms.
 
-
-def kernel_direction(M) -> KernelDirection:
-    """Exact rational kernel of the homomorphism matrix with a default flow direction.
-
-    The default omega mixes the kernel basis with square roots of distinct
-    primes, so the within-fiber flow is quasiperiodic.  M @ b_i = 0 holds in
-    exact integer arithmetic per basis vector (the float M @ omega cancels to
-    rounding only).  A trivial kernel is reported through the ``zero_kernel``
-    flag with omega = 0 (stationary flow).
+    One ``(prime, rational vector)`` term per vector of the exact integer
+    kernel basis of M, with square roots of distinct primes as scales, so
+    the within-fiber flow is quasiperiodic.  M @ vector = 0 holds in exact
+    arithmetic per term (the float M @ omega cancels to rounding only).  A
+    trivial kernel gives no terms: omega = 0, a stationary flow.
     """
-    M = np.asarray(M, dtype=int)
-    basis = tuple(_integer_nullspace(M))
-    terms = tuple((prime, tuple(Fraction(v) for v in vec)) for prime, vec in zip(_PRIMES, basis))
-    return KernelDirection(basis, _direction(M.shape[1], terms), terms)
+    basis = _integer_nullspace(np.asarray(M, dtype=int))
+    return tuple((prime, tuple(Fraction(v) for v in vec)) for prime, vec in zip(_PRIMES, basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +213,11 @@ class PinchedTorusSpec:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """The flow direction, derived from ``omega_terms``."""
-        return _direction(self.n, self.omega_terms)
+        """The flow direction: sum of sqrt(prime) * vector over ``omega_terms``."""
+        omega = np.zeros(self.n)
+        for prime, vec in self.omega_terms:
+            omega = omega + np.sqrt(float(prime)) * np.array([float(v) for v in vec])
+        return omega
 
 
 def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorusSpec:
@@ -248,7 +225,7 @@ def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorus
     base = ArcSet(base_boxes, m)
     loci = tuple(ArcSet(boxes, m) for boxes in loci_boxes)
     if omega_terms is None:
-        terms = kernel_direction(M).omega_terms
+        terms = kernel_direction(M)
     else:
         terms = tuple(
             (int(prime), tuple(Fraction(v) for v in vec)) for prime, vec in omega_terms
@@ -428,20 +405,6 @@ def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):
 
 
 # --- JSON spec files ----------------------------------------------------------
-
-
-def spec_to_dict(spec: PinchedTorusSpec) -> dict:
-    return {
-        "n": spec.n,
-        "m": spec.m,
-        "M": [[int(v) for v in row] for row in spec.M],
-        "S": spec.base_region.to_json(),
-        "C": [locus.to_json() for locus in spec.pinch_loci],
-        "omega": [
-            {"prime_scale": prime, "rational": [str(v) for v in vec]}
-            for prime, vec in spec.omega_terms
-        ],
-    }
 
 
 def load_spec(path) -> PinchedTorusSpec:

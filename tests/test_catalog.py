@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from flowlin import catalog
-from flowlin.catalog import (
-    MissingAction,
-    MissingEmbedding,
-    UnknownEntry,
-    exact_embedding_residual,
-    verify_action,
-)
+from flowlin.catalog import MissingAction, UnknownEntry, verify_action
+from flowlin.embed import verify_linearization
 from flowlin.flows import evolve, sample_trajectory
 
 EMBEDDED = [
@@ -47,7 +42,9 @@ def test_all_exact_embeddings_linearize():
     # trigonometric identities a little above it
     bounds = {"sphere_rotation": 1e-12, "klein_bottle": 1e-9, "projective_plane": 1e-9}
     for name in EMBEDDED:
-        residual = exact_embedding_residual(catalog.get(name))
+        entry = catalog.get(name)
+        grid = catalog.standard_grid(entry, np.random.default_rng(0))
+        residual = verify_linearization(entry.exact_embedding, entry.system, grid)
         assert residual <= bounds.get(name, 1e-8), f"{name}: {residual}"
 
 
@@ -63,8 +60,7 @@ def test_action_invariants():
 def test_missing_action_and_embedding():
     with pytest.raises(MissingAction):
         verify_action(catalog.get("product_attractor"))
-    with pytest.raises(MissingEmbedding):
-        exact_embedding_residual(catalog.get("annulus_cubic"))
+    assert catalog.get("annulus_cubic").exact_embedding is None
 
 
 # --- Klein bottle quotient geometry -------------------------------------------

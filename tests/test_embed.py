@@ -201,7 +201,7 @@ def test_built_topological_log_radial(log_radial, validation_states):
         log_radial.system, log_radial.attractor, log_radial.exact_phase,
         log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
     )
-    grid = catalog.standard_grid(log_radial)
+    grid = catalog.standard_grid(log_radial, np.random.default_rng(0))
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-6
 
 
@@ -223,7 +223,8 @@ def test_built_topological_product_attractor():
         entry.system, entry.attractor, entry.exact_phase,
         entry.attractor_embedding, entry.lyapunov, states,
     )
-    assert verify_linearization(cand, entry.system, catalog.standard_grid(entry)) <= 1e-8
+    grid = catalog.standard_grid(entry, np.random.default_rng(0))
+    assert verify_linearization(cand, entry.system, grid) <= 1e-8
 
 
 def test_builder_rejects_bad_phase_map(log_radial, validation_states):
@@ -245,7 +246,7 @@ def test_built_smooth_log_radial(log_radial, validation_states):
         log_radial.attractor_embedding, log_radial.transverse,
         log_radial.lyapunov.V, 1.0, validation_states,
     )
-    grid = catalog.standard_grid(log_radial)
+    grid = catalog.standard_grid(log_radial, np.random.default_rng(0))
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-8
 
 
@@ -261,6 +262,26 @@ def test_smooth_overlap_identity(log_radial):
         log_radial.system, log_radial.transverse, log_radial.lyapunov.V, 1.0, states
     )
     assert residual <= 1e-9
+    # basin samples all lie inside the level set {V <= 1}: no evidence
+    inside = log_radial.sample_states(np.random.default_rng(32), 40)
+    assert np.isnan(overlap_identity_residual(
+        log_radial.system, log_radial.transverse, log_radial.lyapunov.V, 1.0, inside
+    ))
+
+
+def test_smooth_builder_rejects_no_validation_state_in_U(log_radial, validation_states):
+    # the G-equivariance gate has no evidence when U holds no validation state
+    nowhere = TransverseData(
+        G=log_radial.transverse.G,
+        B=log_radial.transverse.B,
+        in_U=lambda x: np.zeros(np.shape(x)[:-1], dtype=bool),
+    )
+    with pytest.raises(ConditionThreeViolated, match="equivariance residual nan"):
+        build_smooth_embedding(
+            log_radial.system, log_radial.attractor, log_radial.exact_phase,
+            log_radial.attractor_embedding, nowhere, log_radial.lyapunov.V, 1.0,
+            validation_states,
+        )
 
 
 def test_degenerate_transverse_map_rejected(log_radial, validation_states):
@@ -366,6 +387,14 @@ def test_quality_flags_constant_map(log_radial):
     # both fail the floor of `flowlin verify` (1e-6) and so that of `build` (1e-3)
     assert not report.injectivity_margin >= 1e-6
     assert not report.min_jacobian_sigma >= 1e-6
+
+
+def test_quality_without_states_is_no_evidence(log_radial):
+    cand = log_radial.exact_embedding
+    states = log_radial.sample_states(np.random.default_rng(8), 10)
+    report = verify_embedding_quality(cand, log_radial.system, (states, [0.1]), states[:0])
+    assert np.isnan(report.min_jacobian_sigma)
+    assert np.isnan(report.injectivity_margin) and np.isnan(report.batch_disagreement)
 
 
 def test_quality_klein_quotient():

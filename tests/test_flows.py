@@ -270,6 +270,12 @@ def test_group_law_zero_times_exact():
     assert report.passed
 
 
+def test_group_law_without_samples_fails():
+    report = check_group_law(catalog.get("sphere_rotation").system, [], tol=1e-9)
+    assert report.n_checked == 0 and np.isnan(report.max_violation)
+    assert not report.passed
+
+
 def test_group_law_fails_on_nan_closed_form():
     # a closed form that returns NaN past t = 1 leaves no finite evidence
     def closed_form(t, x):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flowlin import catalog, linalg
 from flowlin.catalog import TorusActionSpec
-from flowlin.embed import EmbeddingCandidate
+from flowlin.embed import EmbeddingCandidate, TransverseData
 from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
@@ -106,9 +106,12 @@ def test_generator_validation():
         generator(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="generator entries must be finite"):
         generator([[np.inf]])
-    # the one (F, B) type stores its generator through the same check
+    # the one (F, B) type and the transverse data store their generators
+    # through the same check
     with pytest.raises(ValueError, match="generator must be square"):
         EmbeddingCandidate(lambda x: x, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"generator must be square, got shape \(1, 2\)"):
+        TransverseData(lambda x: x, [[1.0, 2.0]], lambda x: True)
 
 
 # --- block-diagonal assembly and positive definite solves ------------------------

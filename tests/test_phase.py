@@ -217,6 +217,18 @@ def test_identity_on_attractor_passes_trivially():
     assert report.passed
 
 
+def test_phase_check_without_samples_fails():
+    entry = catalog.get("log_radial")
+    none = np.empty((0, 2))
+    report = verify_phase_properties(
+        entry.system, entry.exact_phase, none, none, t_grid=(0.0, 1.0), tol=1e-9,
+    )
+    assert np.isnan(report.max_idempotence_violation)
+    assert np.isnan(report.max_restriction_violation)
+    assert np.isnan(report.max_equivariance_violation)
+    assert not report.passed
+
+
 def test_bad_phase_map_fails():
     entry = catalog.get("log_radial")
     rng = np.random.default_rng(26)

@@ -17,11 +17,9 @@ from flowlin.pinched import (
     embedding_generator,
     flow,
     kernel_direction,
-    load_spec,
     make_point,
     make_spec,
     sample_points,
-    spec_to_dict,
     verify_family,
 )
 
@@ -50,32 +48,35 @@ def plain_torus_spec():
 
 
 def test_kernel_single_row():
-    kd = kernel_direction([[0, 1]])
-    assert kd.basis == ((1, 0),)
-    np.testing.assert_allclose(kd.omega, [np.sqrt(2.0), 0.0])
-    assert not kd.zero_kernel
+    assert kernel_direction([[0, 1]]) == ((2, (1, 0)),)
+    np.testing.assert_allclose(plain_torus_spec().omega, [np.sqrt(2.0), 0.0])
 
 
 def test_kernel_zero_map():
-    kd = kernel_direction([[0, 0]])
-    assert kd.basis == ((1, 0), (0, 1))
-    np.testing.assert_allclose(kd.omega, [np.sqrt(2.0), np.sqrt(3.0)])
+    assert kernel_direction([[0, 0]]) == ((2, (1, 0)), (3, (0, 1)))
+    spec = make_spec(n=2, m=1, M=[[0, 0]], base_boxes=FULL_CIRCLE, loci_boxes=[[], []])
+    np.testing.assert_allclose(spec.omega, [np.sqrt(2.0), np.sqrt(3.0)])
 
 
 def test_kernel_trivial():
-    kd = kernel_direction(np.eye(2, dtype=int))
-    assert kd.zero_kernel and kd.basis == ()
-    np.testing.assert_array_equal(kd.omega, np.zeros(2))
+    assert kernel_direction(np.eye(2, dtype=int)) == ()
+    spec = make_spec(n=2, m=2, M=np.eye(2, dtype=int),
+                     base_boxes=[[("0", "1"), ("0", "1")]], loci_boxes=[[], []])
+    np.testing.assert_array_equal(spec.omega, np.zeros(2))
 
 
 def test_kernel_vectors_annihilated_exactly():
     M = np.array([[2, -3, 1], [0, 1, -1]])
-    kd = kernel_direction(M)
-    # exactness lives in the integer basis; the prime-mixed float omega only
+    terms = kernel_direction(M)
+    # exactness lives in the rational terms; the prime-mixed float omega only
     # cancels to rounding when entries need a rounded product like 3*sqrt(2)
-    for b in kd.basis:
-        assert np.array_equal(M @ np.array(b), np.zeros(M.shape[0], dtype=int))
-    np.testing.assert_allclose(M @ kd.omega, np.zeros(2), atol=1e-14)
+    assert terms
+    for _, vec in terms:
+        assert all(v.denominator == 1 for v in vec)
+        assert all(v == 0 for v in M @ np.array(vec, dtype=object))
+    spec = make_spec(n=3, m=2, M=M, base_boxes=[[("0", "1"), ("0", "1")]],
+                     loci_boxes=[[], [], []])
+    np.testing.assert_allclose(M @ spec.omega, np.zeros(2), atol=1e-14)
 
 
 # --- embedding values ---------------------------------------------------------------
@@ -304,17 +305,6 @@ def test_arcset_distance_wraps():
     assert arcs.distance([0.75]) == pytest.approx(0.25)
     assert arcs.distance([0.5]) == pytest.approx(0.5)
     assert arcs.contains([0.0]) and not arcs.contains([0.3])
-
-
-def test_spec_json_round_trip(tmp_path):
-    spec = two_pinch_spec()
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec_to_dict(spec)))
-    loaded = load_spec(path)
-    np.testing.assert_array_equal(loaded.M, spec.M)
-    np.testing.assert_allclose(loaded.omega, spec.omega)
-    assert loaded.pinch_loci[0].boxes == spec.pinch_loci[0].boxes
-    assert loaded.base_region.boxes == spec.base_region.boxes
 
 
 def test_spec_rejects_a_locus_whose_factor_moves_the_base(tmp_path):

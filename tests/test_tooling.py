@@ -1,5 +1,5 @@
 """Tooling that names code: the tracer's method table and counters, module
-exports, and the README's CLI examples."""
+exports, and the README's CLI and spec file examples."""
 
 import ast
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowlin import catalog, cli
+from flowlin import catalog, cli, pinched
 from flowlin.integrate import integrate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +65,21 @@ def test_readme_cli_examples_parse():
         except SystemExit as err:
             command = shlex.join(["flowlin", *argv])
             raise AssertionError(f"README command does not parse: {command}") from err
+
+
+def test_readme_pinched_spec_example_loads(tmp_path):
+    text = README.read_text().split("A pinched torus spec file looks like", 1)[1]
+    path = tmp_path / "spec.json"
+    path.write_text(re.search(r"```json\n(.*?)```", text, flags=re.DOTALL).group(1))
+    loaded = pinched.load_spec(path)
+    expected = pinched.make_spec(
+        n=2, m=1, M=[[0, 1]], base_boxes=[[("0", "1")]], loci_boxes=[[[("0", "0")]], []],
+        omega_terms=[(2, ["1", "0"])],
+    )
+    np.testing.assert_array_equal(loaded.M, expected.M)
+    assert loaded.base_region.boxes == expected.base_region.boxes
+    assert [c.boxes for c in loaded.pinch_loci] == [c.boxes for c in expected.pinch_loci]
+    assert loaded.omega_terms == expected.omega_terms
 
 
 # bench/spans.py counts integrate.steps_accepted as len(DenseOutput.coeffs) and
