@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cat = sub.add_parser("catalog", parents=[common], help="list or inspect catalog systems")
+    p_cat = sub.add_parser("catalog", help="list or inspect catalog systems")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
     cat_sub.add_parser("list", parents=[common], help="names and verdicts as JSON")
     p_show = cat_sub.add_parser("show", parents=[common], help="metadata JSON for one system")

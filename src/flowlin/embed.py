@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve
-from .linalg import block_diag, generator, matrix_exp
+from .linalg import block_diag, expm_apply, generator, least, row_norms, worst
 from .phase import AttractorModel
 
 __all__ = [
@@ -321,7 +321,7 @@ def build_topological_embedding(
     X = X[~(np.asarray(V(X), float) <= ATTRACTOR_TOL)]
     if len(X):
         hit = np.asarray(F1(evolve(sys, X, impact_time(sys, V, c, X))), float)
-        norms = np.sqrt(np.vecdot(hit, hit))
+        norms = row_norms(hit)
         off = np.abs(norms - 1.0) > 1e-12
         if off.any():
             raise ValueError(f"level-set embedding not on the unit sphere: |F1| = {norms[off][0]}")
@@ -406,7 +406,7 @@ def _conjugated_G(sys, G, B, V, c, X) -> np.ndarray:
     """Rows e^{-B tau(x)} G(Phi^{tau(x)}(x)) of a batch of states."""
     tau = impact_time(sys, V, c, X)
     g_hit = np.asarray(G(evolve(sys, X, tau)), dtype=float)
-    return np.matmul(matrix_exp(B, -tau), g_hit[..., None])[..., 0]
+    return expm_apply(B, -tau, g_hit)
 
 
 def build_smooth_embedding(
@@ -432,10 +432,10 @@ def build_smooth_embedding(
         )
     X = np.asarray(validation_states, dtype=float)
     X_U = X[np.asarray(in_U(X), dtype=bool)]
-    worst = verify_linearization(EmbeddingCandidate(G, B), sys, (X_U, (0.1, 0.5, 1.0)))
-    if not worst <= EQUIVARIANCE_TOL:
+    residual = verify_linearization(EmbeddingCandidate(G, B), sys, (X_U, (0.1, 0.5, 1.0)))
+    if not residual <= EQUIVARIANCE_TOL:
         raise ConditionThreeViolated(
-            f"G equivariance residual {worst:.3g} > {EQUIVARIANCE_TOL:.3g}"
+            f"G equivariance residual {residual:.3g} > {EQUIVARIANCE_TOL:.3g}"
         )
     _kernel_check(attractor, G)
     _check_phase_map(sys, attractor, P, validation_states)
@@ -470,8 +470,7 @@ def overlap_identity_residual(
     if not len(X):
         return np.nan
     diff = np.asarray(G(X), dtype=float) - _conjugated_G(sys, G, B, V, c, X)
-    # np.max keeps a NaN residual, so the caller's `<= tol` gate fails on it
-    return float(np.max(np.sqrt(np.vecdot(diff, diff))))
+    return worst(row_norms(diff))
 
 
 def _grid_batch(sys: FlowSystem, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -493,10 +492,8 @@ def _grid_residual(B: np.ndarray, times: np.ndarray, images: np.ndarray) -> floa
     if not len(images):
         return np.nan
     images = images.reshape(len(times) + 1, -1, images.shape[-1])
-    exps = matrix_exp(B, times)[:, None]
-    diff = images[1:] - np.matmul(exps, images[0][..., None])[..., 0]
-    # a NaN residual stays NaN, so a `<= tol` gate on the result fails
-    return float(np.max(np.sqrt(np.vecdot(diff, diff))))
+    diff = images[1:] - expm_apply(B, times[:, None], images[0])
+    return worst(row_norms(diff))
 
 
 def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> float:
@@ -572,13 +569,13 @@ def verify_embedding_quality(
     disagreement = np.nan  # no state, no evidence
     if n:
         diff = images[0] - np.asarray(cand.F(states[0]), dtype=float)
-        disagreement = float(np.sqrt(np.vecdot(diff, diff)))
+        disagreement = float(row_norms(diff))
     probe_images = probe_images.reshape(n, 2 * dim, out.shape[-1])
     sigmas = np.linalg.svd(_fd_difference(probe_images), compute_uv=False)[..., -1]
 
     properness = {"available": False}
     if len(esc):
-        norms = np.sqrt(np.vecdot(esc_images, esc_images)).tolist()
+        norms = row_norms(esc_images).tolist()
         rho = _rank_correlation(escape[1], norms)
         growth = norms[-1] / max(norms[0], 1e-300)
         properness = {
@@ -591,7 +588,7 @@ def verify_embedding_quality(
     return QualityReport(
         linearization_residual=_grid_residual(cand.B, times, grid_images),
         injectivity_margin=sys.chart.injectivity_margin(states, images),
-        min_jacobian_sigma=float(np.min(sigmas)) if n else np.nan,
+        min_jacobian_sigma=least(sigmas),
         batch_disagreement=disagreement,
         properness=properness,
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .integrate import IntegrationFailure, integrate
+from .linalg import least, row_norms, worst
 
 __all__ = [
     "ChartDescriptor",
@@ -188,9 +189,8 @@ class ChartDescriptor:
             d_state = self._min_over_orbit(reps[0][i], [rep[i + 1 :] for rep in reps])
             apart = d_state > PAIR_CUTOFF
             diff = Y[i] - Y[i + 1 :][apart]
-            ratios.append(np.sqrt(np.vecdot(diff, diff)) / d_state[apart])
-        ratios = np.concatenate(ratios)
-        return float(ratios.min()) if ratios.size else np.nan
+            ratios.append(row_norms(diff) / d_state[apart])
+        return least(np.concatenate(ratios))
 
 
 def euclidean(n: int) -> ChartDescriptor:
@@ -375,13 +375,12 @@ def check_group_law(sys: FlowSystem, samples: Sequence, tol: float) -> GroupLawR
     if len(samples):
         xs, s, t = (np.asarray(c, dtype=float) for c in zip(*samples))
         found = violations(xs, s, t, np.arange(len(samples)))
-    # np.max keeps a NaN violation, so the report fails on it
-    worst = float(np.max(found)) if len(found) else np.nan
+    violation = worst(found)
     return GroupLawReport(
-        max_violation=worst,
+        max_violation=violation,
         n_checked=len(found),
         failures=tuple(failures),
-        passed=(worst <= tol and not failures),
+        passed=(violation <= tol and not failures),
     )
 
 

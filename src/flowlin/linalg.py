@@ -1,10 +1,11 @@
 """Dense linear-algebra primitives.
 
 Matrix exponentials of flow generators, block-diagonal assembly, positive
-definite solves and brute-force rational-independence certificates for
-frequency vectors.  ``matrix_exp`` and ``solve_positive_definite`` load their
-dense solver on first use; everything else in flowlin needs numpy alone, so
-importing flowlin loads no other numerical package.
+definite solves, brute-force rational-independence certificates for
+frequency vectors, and the evidence reductions every check goes through.
+``matrix_exp`` and ``solve_positive_definite`` load their dense solver on
+first use; everything else in flowlin needs numpy alone, so importing
+flowlin loads no other numerical package.
 """
 
 from __future__ import annotations
@@ -89,6 +90,29 @@ def matrix_exp(B, t) -> np.ndarray:
             f"{np.linalg.norm(B, 1) * np.max(np.abs(t)):.3g}"
         )
     return result
+
+
+def expm_apply(B, t, v) -> np.ndarray:
+    """exp(B*t) applied to the rows of ``v``: times ``t`` broadcast against the
+    leading axes of ``v``, shape ``(..., k)``."""
+    return np.matmul(matrix_exp(B, t), v[..., None])[..., 0]
+
+
+def row_norms(diff) -> np.ndarray:
+    """Euclidean norm of each row of ``diff`` along its last axis."""
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def worst(values) -> float:
+    """The largest value; NaN when a value is NaN or there is none, so a
+    ``<= tol`` gate on it fails without finite evidence."""
+    return float(np.max(values)) if np.size(values) else np.nan
+
+
+def least(values) -> float:
+    """The smallest value; NaN when a value is NaN or there is none, so a
+    ``> 0`` gate on it fails without finite evidence."""
+    return float(np.min(values)) if np.size(values) else np.nan
 
 
 def block_diag(*blocks) -> np.ndarray:

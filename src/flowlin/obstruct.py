@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve, torus_angles
-from .linalg import frequency_vector, rational_independence
+from .linalg import frequency_vector, rational_independence, worst
 
 __all__ = [
     "EquilibriumReport",
@@ -234,7 +234,8 @@ def quasiperiodic_factor_certificate(
     max_coeff: int,
     n_samples: int = 100,
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Verdict:
     """Grant a linearizability certificate from a verified torus factor map.
 
@@ -261,7 +262,6 @@ def quasiperiodic_factor_certificate(
             reason=f"refused: rational dependence {indep.relation}",
         )
 
-    rng = rng or np.random.default_rng(0)
     if any(p is None for p in sys.chart.wraps):
         raise ValueError("the certificate samples a fully wrapped (torus) chart")
     periods = np.array(sys.chart.wraps, dtype=float)
@@ -270,13 +270,12 @@ def quasiperiodic_factor_certificate(
 
     lhs = np.asarray(Fmap(evolve(sys, states, times)), dtype=float)
     rhs = np.mod(np.asarray(Fmap(states), dtype=float) + np.multiply.outer(times, w), 1.0)
-    worst = float(np.max(torus_angles(n).distances(lhs, rhs), initial=0.0))
-    # a NaN residual refuses the certificate
-    if not worst <= tol:
+    residual = worst(torus_angles(n).distances(lhs, rhs))
+    if not residual <= tol:
         return Verdict(
             NO_OBSTRUCTION,
             ("rational_independence", "factor_map_equivariance"),
-            reason=f"refused: factor map residual {worst:.3g} > {tol:.3g}",
+            reason=f"refused: factor map residual {residual:.3g} > {tol:.3g}",
         )
     return Verdict(
         CERTIFIED,
@@ -285,6 +284,6 @@ def quasiperiodic_factor_certificate(
             "omega": [float(v) for v in w],
             "max_coeff": int(max_coeff),
             "samples": int(len(times)),
-            "max_residual": worst,
+            "max_residual": residual,
         },
     )

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import FlowlinError
 from .flows import FlowSystem, evolve
 from .integrate import batch_pow
+from .linalg import worst
 
 __all__ = [
     "AttractorModel",
@@ -228,9 +229,6 @@ def verify_phase_properties(
     # per sample, the gaps after the first time must not grow by more than tol
     tail = np.array(gaps[1:])
     decreasing = not np.any(tail[1:] > tail[:-1] + tol)
-    # np.max keeps a NaN violation, so the `<= tol` gates below fail on it
-    idem, restrict, equiv = (
-        float(np.max(v)) if np.size(v) else np.nan for v in (idem, restrict, equiv)
-    )
+    idem, restrict, equiv = worst(idem), worst(restrict), worst(equiv)
     passed = idem <= tol and restrict <= tol and equiv <= tol and decreasing
     return PhaseReport(idem, restrict, equiv, decreasing, passed)

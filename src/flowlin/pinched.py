@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlowlinError
-from .linalg import block_diag, matrix_exp
+from .linalg import block_diag, expm_apply, least, row_norms, worst
 
 __all__ = [
     "ArcSet",
@@ -47,7 +47,6 @@ TWO_PI = 2.0 * np.pi
 # largest accepted ||F(Phi^t p) - e^{Bt} F(p)|| of the canonical embedding
 LINEARITY_TOL = 1e-10
 MIN_SAMPLES = 100
-_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class NotInFamily(FlowlinError):
@@ -168,13 +167,14 @@ def kernel_direction(M) -> tuple:
     """The default flow direction of the homomorphism matrix as omega terms.
 
     One ``(prime, rational vector)`` term per vector of the exact integer
-    kernel basis of M, with square roots of distinct primes as scales, so
+    kernel basis of M, with square roots of the first primes as scales, so
     the within-fiber flow is quasiperiodic.  M @ vector = 0 holds in exact
     arithmetic per term (the float M @ omega cancels to rounding only).  A
     trivial kernel gives no terms: omega = 0, a stationary flow.
     """
     basis = _integer_nullspace(np.asarray(M, dtype=int))
-    return tuple((prime, tuple(Fraction(v) for v in vec)) for prime, vec in zip(_PRIMES, basis))
+    primes = (k for k in itertools.count(2) if all(k % d for d in range(2, k)))
+    return tuple((prime, tuple(Fraction(v) for v in vec)) for prime, vec in zip(primes, basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,12 +324,14 @@ class FamilyReport:
 def verify_family(
     spec: PinchedTorusSpec,
     n_samples: int = 200,
-    rng=None,
+    *,
+    rng: np.random.Generator,
 ) -> FamilyReport:
-    """Sampled checks: exact flow linearity, quotient well-definedness, separation."""
+    """Sampled checks: exact flow linearity, quotient well-definedness, separation.
+    No evidence fails: a pinch locus with no fiber point to try is not quotient
+    consistent, and with no two distinct points the separation is NaN."""
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    rng = rng or np.random.default_rng(3)
     points = sample_points(spec, n_samples, rng)
     theta, base, _ = points
     B = embedding_generator(spec)
@@ -337,20 +339,19 @@ def verify_family(
     times = rng.uniform(-5.0, 5.0, n_samples)
     embeds = canonical_embedding(spec, points)
     lhs = canonical_embedding(spec, flow(spec, points, times))
-    diff = lhs - (matrix_exp(B, times) @ embeds[..., None])[..., 0]
-    worst = float(np.max(np.sqrt(np.vecdot(diff, diff)), initial=0.0))
+    residual = worst(row_norms(lhs - expm_apply(B, times, embeds)))
 
     # quotient consistency: raw representatives that differ only in collapsed
     # coordinates must embed identically (their z_j factors carry rho_j = 0)
     consistent = True
     for locus_index, locus in enumerate(spec.pinch_loci):
-        if locus.empty:
-            continue
+        tried = False
         for box in locus.boxes:
             base_target = np.array([float((lo + hi) / 2) for lo, hi in box])
             theta0 = _solve_fiber(spec, base_target)
             if theta0 is None:
                 continue
+            tried = True
             # trial i sets the collapsed angle to a_i in raw[0] and b_i in raw[1],
             # with (a_i, b_i) the draws of the i-th of ten rng.random(2) calls
             raw = np.tile(theta0, (2, 10, 1))
@@ -365,20 +366,21 @@ def verify_family(
             # rows whose fiber solve missed the locus in floating point are skipped
             if not np.all(agree[pa[2][:, locus_index]]):
                 consistent = False
+        if not (locus.empty or tried):
+            consistent = False
 
     # each point is compared with the next 39, one offset k at a time over the
     # whole batch
-    min_sep = np.inf
+    seps = []
     for k in range(1, 40):
         a, b = slice(None, n_samples - k), slice(k, None)
         apart = ~(np.all(theta[a] == theta[b], axis=1) & np.all(base[a] == base[b], axis=1))
-        diff = embeds[a][apart] - embeds[b][apart]
-        # np.min keeps a NaN separation, so the `> 0` gate below fails on it
-        min_sep = float(np.min(np.sqrt(np.vecdot(diff, diff)), initial=min_sep))
+        seps.append(row_norms(embeds[a][apart] - embeds[b][apart]))
+    min_sep = least(np.concatenate(seps))
 
     radius = float(np.max(np.linalg.norm(embeds.reshape(n_samples, -1, 2), axis=2)))
-    passed = worst <= LINEARITY_TOL and consistent and min_sep > 0.0
-    return FamilyReport(worst, consistent, min_sep, radius, n_samples, passed)
+    passed = residual <= LINEARITY_TOL and consistent and min_sep > 0.0
+    return FamilyReport(residual, consistent, min_sep, radius, n_samples, passed)
 
 
 def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):

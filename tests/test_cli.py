@@ -36,6 +36,16 @@ def test_catalog_list(tmp_path):
     assert by_name["annulus_cubic"]["verdict"] == "not_linearizable"
 
 
+def test_catalog_options_go_after_the_subcommand(tmp_path, capsys):
+    # an option before the subcommand is a usage error, not overwritten by
+    # the subcommand's default
+    out = tmp_path / "list.json"
+    assert run(["catalog", "--out", str(out), "list"]) == 2
+    assert not out.exists() and capsys.readouterr().out == ""
+    assert run(["catalog", "list", "--out", str(out), "--seed", "3"]) == 0
+    assert out.exists()
+
+
 def test_catalog_show(tmp_path):
     out = tmp_path / "show.json"
     assert run(["catalog", "show", "log_radial", "--out", str(out)]) == 0
@@ -123,6 +133,23 @@ def test_pinched_nan_separation_fails(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in read_json(out)["checks"]}
     assert np.isnan(checks["separation_margin"]["value"])
     assert not checks["separation_margin"]["pass"]
+
+
+def test_pinched_collapsed_family_fails(tmp_path):
+    # every sampled point is the same point, and the locus midpoint has no
+    # fiber point: no distinct pair to separate and no representative to compare
+    spec_path = tmp_path / "collapsed.json"
+    spec_path.write_text(json.dumps(
+        {"n": 1, "m": 1, "M": [[0]], "S": [[["0", "1"]]], "C": [[[["0", "1"]]]]}
+    ))
+    out = tmp_path / "pinched.json"
+    code = run(["pinched", "--spec", str(spec_path), "--check", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in read_json(out)["checks"]}
+    assert np.isnan(checks["separation_margin"]["value"])
+    assert not checks["separation_margin"]["pass"]
+    assert checks["quotient_consistency"]["value"] is False
+    assert not checks["quotient_consistency"]["pass"]
 
 
 def test_reports_record_no_machine_facts(tmp_path):

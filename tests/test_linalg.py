@@ -13,10 +13,13 @@ from flowlin.linalg import (
     DimensionTooLarge,
     ExpRangeError,
     block_diag,
+    expm_apply,
     generator,
+    least,
     matrix_exp,
     rational_independence,
     solve_positive_definite,
+    worst,
 )
 from flowlin.obstruct import quasiperiodic_factor_certificate
 
@@ -97,6 +100,35 @@ def test_group_law_random_generators():
         Est = matrix_exp(B, s + t)
         bound = 1e-10 * (1.0 + np.linalg.norm(Es, 2) * np.linalg.norm(Et, 2))
         assert np.linalg.norm(Est - Es @ Et, 2) <= bound
+
+
+def test_expm_apply_keeps_the_matmul_bits():
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(4, 4))
+    # a (T, 1) time grid against N rows, as the linearization residual uses it
+    times, v = rng.uniform(-3.0, 3.0, 5), rng.normal(size=(7, 4))
+    old = np.matmul(matrix_exp(B, times)[:, None], v[..., None])[..., 0]
+    assert expm_apply(B, times[:, None], v).tobytes() == old.tobytes()
+    # one time per row, as the pinched family check and the conjugated G use it
+    times = rng.uniform(-3.0, 3.0, 7)
+    old = (matrix_exp(B, times) @ v[..., None])[..., 0]
+    assert expm_apply(B, times, v).tobytes() == old.tobytes()
+
+
+# --- evidence reductions ------------------------------------------------------
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_finite, min_size=1, max_size=20), nan_at=st.integers(0, 20))
+def test_worst_and_least_fail_without_finite_evidence(values, nan_at):
+    a = np.array(values)
+    assert worst(a) == np.max(a) and least(a) == np.min(a)
+    assert np.isnan(worst(np.empty(0))) and np.isnan(least(np.empty(0)))
+    a = np.insert(a, min(nan_at, len(a)), np.nan)
+    assert np.isnan(worst(a)) and np.isnan(least(a))
 
 
 def test_generator_validation():
@@ -237,7 +269,8 @@ def test_bad_frequencies_are_rejected_everywhere(omega, message):
         rational_independence(omega, 5)
     with pytest.raises(ValueError, match=f"^{message}$"):
         quasiperiodic_factor_certificate(
-            catalog.get("quasiperiodic_torus_2").system, lambda x: x, omega, 5
+            catalog.get("quasiperiodic_torus_2").system, lambda x: x, omega, 5,
+            rng=np.random.default_rng(0),
         )
     with pytest.raises(ValueError, match=f"^{message}$"):
         TorusActionSpec(action=lambda h, x: x, omega=omega)

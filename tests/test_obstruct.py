@@ -167,7 +167,8 @@ def test_certificate_dimension_mismatch():
     entry = catalog.get("sphere_rotation")
     with pytest.raises(DimensionMismatch):
         quasiperiodic_factor_certificate(
-            entry.system, lambda x: np.asarray(x, float), (1.0, np.sqrt(2.0)), 50
+            entry.system, lambda x: np.asarray(x, float), (1.0, np.sqrt(2.0)), 50,
+            rng=np.random.default_rng(0),
         )
 
 

@@ -79,6 +79,16 @@ def test_kernel_vectors_annihilated_exactly():
     np.testing.assert_allclose(M @ spec.omega, np.zeros(2), atol=1e-14)
 
 
+def test_kernel_has_a_prime_per_vector():
+    # eight kernel vectors need eight distinct primes, or some angle is stationary
+    M = np.zeros((1, 8), dtype=int)
+    spec = make_spec(n=8, m=1, M=M, base_boxes=FULL_CIRCLE, loci_boxes=[[]] * 8)
+    assert [prime for prime, _ in spec.omega_terms] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert np.all(spec.omega != 0.0)
+    for _, vec in spec.omega_terms:
+        assert all(v == 0 for v in M @ np.array(vec, dtype=object))
+
+
 # --- embedding values ---------------------------------------------------------------
 
 
