@@ -164,11 +164,15 @@ class EDMDModel:
     spectrum: np.ndarray
 
 
+def _frobenius(R: np.ndarray) -> float:
+    return float(np.sqrt(np.einsum("ij,ij->", R, R)))
+
+
 def _residual(K: np.ndarray, PX: np.ndarray, PY: np.ndarray) -> float:
-    denom = np.linalg.norm(PY)
+    denom = _frobenius(PY)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(PY - K @ PX) / denom)
+    return _frobenius(PY - np.einsum("ij,jn->in", K, PX)) / denom
 
 
 def fit(dictionary: Dictionary, snapshots: SnapshotSet, ridge: float = 1e-10) -> EDMDModel:
@@ -188,7 +192,9 @@ def fit(dictionary: Dictionary, snapshots: SnapshotSet, ridge: float = 1e-10) ->
     PY = dictionary.matrix(snapshots.Y).T
     if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
         raise ValueError("dictionary evaluations must be finite on the snapshots")
-    G = PX @ PX.T
+    # einsum without optimize sums in numpy's own loops; a BLAS product of
+    # this size would wake OpenBLAS worker threads
+    G = np.einsum("in,jn->ij", PX, PX)
     if ridge == 0.0:
         cond = np.linalg.cond(G)
         if cond > GRAM_CONDITION_LIMIT:
@@ -196,7 +202,7 @@ def fit(dictionary: Dictionary, snapshots: SnapshotSet, ridge: float = 1e-10) ->
                 f"Gram condition {cond:.3g} > {GRAM_CONDITION_LIMIT:.0e} at ridge 0; "
                 "set ridge > 0"
             )
-    A = PY @ PX.T
+    A = np.einsum("in,jn->ij", PY, PX)
     try:
         K = solve_positive_definite(G + ridge * np.eye(dictionary.size), A.T).T
     except np.linalg.LinAlgError as err:

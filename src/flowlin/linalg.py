@@ -3,9 +3,10 @@
 Matrix exponentials of flow generators, block-diagonal assembly, positive
 definite solves, brute-force rational-independence certificates for
 frequency vectors, and the evidence reductions every check goes through.
-``matrix_exp`` and ``solve_positive_definite`` load their dense solver on
-first use; everything else in flowlin needs numpy alone, so importing
-flowlin loads no other numerical package.
+Everything here, and so all of flowlin, needs numpy alone.  The dense
+kernels keep to calls that OpenBLAS runs on the calling thread: matmul and
+solve on stacks of k x k matrices for ``matrix_exp``, one Cholesky factor
+and row-by-row substitution for ``solve_positive_definite``.
 """
 
 from __future__ import annotations
@@ -69,27 +70,66 @@ def frequency_vector(omega) -> np.ndarray:
     return w
 
 
+# Pade [13/13] numerator coefficients b_0..b_13, and the largest 1-norm at
+# which that approximant of exp is accurate to unit roundoff (Higham, SIAM J.
+# Matrix Anal. Appl. 26(4), 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
 def matrix_exp(B, t) -> np.ndarray:
-    """exp(B*t) by scaling-and-squaring with a high-order Pade approximant.
+    """exp(B*t) by scaling and squaring with the degree-13 Pade approximant.
 
     ``t`` is a scalar, giving one (k, k) matrix, or an array of times,
-    giving a stack of shape ``t.shape + (k, k)``.  Raises ExpRangeError
-    when a result overflows float64.
+    giving a stack of shape ``t.shape + (k, k)``.  Each slice gets its own
+    scale 2^-s, the least with norm1(B t) 2^-s <= theta_13, so a slice's
+    bits do not depend on the rest of the stack; t = 0 gives exactly I.
+    Raises ExpRangeError when a result overflows float64.
     """
-    import scipy.linalg
-
     B = generator(B)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
+    k = len(B)
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(B * t[..., None, None])
-    if not np.all(np.isfinite(result)):
-        raise ExpRangeError(
-            "exp(B*t) overflows for norm(B*t) = "
-            f"{np.linalg.norm(B, 1) * np.max(np.abs(t)):.3g}"
+        A = (B * t[..., None, None]).reshape(-1, k, k)
+        norm = np.abs(A).sum(axis=-2).max(axis=-1)
+        if not np.all(np.isfinite(norm)):
+            raise _overflow(B, t)
+        mantissa, exponent = np.frexp(norm / _THETA13)
+        s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(norm / theta_13))
+        A = np.ldexp(A, -s[:, None, None])
+        b, I = _PADE13, np.eye(k)
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (
+            A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+            + b[1] * I
         )
-    return result
+        V = (
+            A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+            + b[0] * I
+        )
+        X = np.linalg.solve(V - U, V + U)
+        # at A = 0 the solve scales b0 by a rounded 1 / b0, which need not give 1
+        X[norm == 0.0] = I
+        for i in range(s.max(initial=0)):
+            rows = np.flatnonzero(s > i)
+            X[rows] = X[rows] @ X[rows]
+    if not np.all(np.isfinite(X)):
+        raise _overflow(B, t)
+    return X.reshape(t.shape + (k, k))
+
+
+def _overflow(B, t) -> ExpRangeError:
+    return ExpRangeError(
+        f"exp(B*t) overflows for norm(B*t) = {np.linalg.norm(B, 1) * np.max(np.abs(t)):.3g}"
+    )
 
 
 def expm_apply(B, t, v) -> np.ndarray:
@@ -126,16 +166,20 @@ def block_diag(*blocks) -> np.ndarray:
 
 
 def solve_positive_definite(A, b) -> np.ndarray:
-    """X with A X = b for a symmetric positive definite A, with the bits of
-    ``scipy.linalg.solve(A, b, assume_a="pos")``: a quotient for 1 x 1, else
-    LAPACK's Cholesky pair (potrf, potrs) without solve's overhead.  Raises
-    ``np.linalg.LinAlgError`` when A is not positive definite.
+    """X with A X = b for a symmetric positive definite A: a quotient for
+    1 x 1, else the Cholesky factor L of A and one forward and one back
+    substitution, a row of X at a time.  Raises ``np.linalg.LinAlgError``
+    when A is not positive definite.
     """
-    import scipy.linalg
-
     if np.shape(A) == (1, 1) and A[0][0] > 0:
         return np.divide(b, A[0][0])
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), b)
+    L = np.linalg.cholesky(A)
+    X = np.array(b, dtype=float)
+    for i in range(len(X)):  # L Y = b
+        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+    for i in reversed(range(len(X))):  # L^T X = Y
+        X[i] = (X[i] - L[i + 1 :, i] @ X[i + 1 :]) / L[i, i]
+    return X
 
 
 def _canonical_relation(k: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlin import catalog, linalg
+from flowlin import catalog, linalg, pinched
 from flowlin.catalog import TorusActionSpec
 from flowlin.embed import EmbeddingCandidate, TransverseData
 from flowlin.linalg import (
@@ -82,6 +83,13 @@ def test_overflow_raises_range_error():
         matrix_exp(np.array([[1000.0]]), 1.0)
 
 
+def test_overflowing_argument_or_slice_raises_range_error():
+    with pytest.raises(ExpRangeError):
+        matrix_exp(np.array([[1e300]]), 1e10)  # B t itself overflows
+    with pytest.raises(ExpRangeError):
+        matrix_exp(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 1.0, -800.0])
+
+
 def test_accuracy_at_large_argument_norm():
     # rotation with norm(B t) = 50 has an exact closed form to compare against
     got = matrix_exp(5.0 * ROT, 10.0)
@@ -113,6 +121,120 @@ def test_expm_apply_keeps_the_matmul_bits():
     times = rng.uniform(-3.0, 3.0, 7)
     old = (matrix_exp(B, times) @ v[..., None])[..., 0]
     assert expm_apply(B, times, v).tobytes() == old.tobytes()
+
+
+# --- matrix exponential against scipy.linalg.expm -------------------------------
+
+# matrix_exp(B, t) agrees with scipy.linalg.expm(B t) within
+# EXPM_BOUND * max(1, norm1(B t)) * eps, relative, in the Frobenius norm.  Most
+# of that allowance is scipy's: on the generators drawn below its own error
+# reaches about 900 * norm1 * eps against a 50-digit mpmath reference (for
+# rotation blocks with a large real part), where matrix_exp's stays below 20.
+EXPM_BOUND = 1e4
+EPS = np.finfo(float).eps
+
+
+def _assert_matches_expm(B, t):
+    """Every slice of matrix_exp(B, t) against scipy's expm of the same B t."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    A = B * t[:, None, None]
+    got, ref = matrix_exp(B, t), scipy_linalg.expm(A)
+    for A_i, got_i, ref_i in zip(A, got, ref):
+        scale = np.abs(ref_i).max()  # the Frobenius norm of ref_i itself may overflow
+        error = np.linalg.norm((got_i - ref_i) / scale) / np.linalg.norm(ref_i / scale)
+        assert error <= EXPM_BOUND * max(1.0, np.linalg.norm(A_i, 1)) * EPS, (A_i, error)
+
+
+def _catalog_generators():
+    for name in catalog.names():
+        entry = catalog.get(name)
+        for field in ("exact_embedding", "attractor_embedding", "transverse"):
+            if getattr(entry, field) is not None:
+                yield pytest.param(getattr(entry, field).B, id=f"{name}.{field}")
+
+
+@pytest.mark.parametrize("B", _catalog_generators())
+def test_matrix_exp_matches_expm_on_catalog_generators(B):
+    _assert_matches_expm(B, np.linspace(-20.0, 20.0, 81))
+
+
+# the single- and two-pinch families that the benchmark checks
+BENCH_PINCH_SPECS = (
+    {"n": 2, "m": 1, "M": [[0, 1]], "S": [[["0", "1"]]], "C": [[[["0", "0"]]], []],
+     "omega": [{"prime_scale": 2, "rational": ["1", "0"]}]},
+    {"n": 2, "m": 1, "M": [[0, 1]], "S": [[["0", "1"]]],
+     "C": [[[["0", "0"]], [["1/2", "1/2"]]], []]},
+)
+
+
+@pytest.mark.parametrize("spec", BENCH_PINCH_SPECS)
+def test_matrix_exp_matches_expm_on_pinched_generators(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    B = pinched.embedding_generator(pinched.load_spec(path))
+    _assert_matches_expm(B, np.random.default_rng(0).uniform(-5.0, 5.0, 200))
+
+
+# Real parts up to 690 keep every exponential below overflow.  Couplings of
+# the non-normal blocks stay at most 10: with larger ones exp(A) is
+# ill-conditioned (a 3 x 3 Jordan block with coupling 735 has condition number
+# 9.4e6) and any two algorithms may differ by more than the bound.  A drawn
+# orthogonal Q mixes the blocks, so the generator is dense: scipy's expm takes
+# triangular input down a path of its own, which returns 0 for the entry of
+# exp(blockdiag(5 I, [[0, 1], [0, 3.7e-120]])) that is 1.
+_real = st.floats(-690.0, 690.0)
+_coupling = st.floats(-10.0, 10.0)
+_rotation = st.builds(lambda s, w: np.array([[s, -w], [w, s]]), _real, st.floats(-1e3, 1e3))
+_shear = st.builds(lambda a, c, d: np.array([[a, c], [0.0, d]]), _real, _coupling, _real)
+_jordan = st.builds(
+    lambda m, lam, c: lam * np.eye(m) + c * np.eye(m, k=1), st.integers(2, 3), _real, _coupling
+)
+
+
+def _mixed(blocks, seed):
+    B = block_diag(*blocks)
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=B.shape))[0]
+    return Q @ B @ Q.T
+
+
+_generators = st.builds(
+    _mixed,
+    st.lists(st.one_of(_rotation, _shear, _jordan), min_size=1, max_size=4).filter(
+        lambda blocks: sum(map(len, blocks)) <= 8
+    ),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(B=_generators)
+def test_matrix_exp_matches_expm_on_drawn_generators(B):
+    _assert_matches_expm(B, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=_generators,
+    times=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)), min_size=1, max_size=12
+    ),
+)
+def test_matrix_exp_slices_equal_their_solo_calls(B, times):
+    B = B / max(1.0, np.abs(B).max())  # keep every slice finite
+    stack = matrix_exp(B, times)
+    for t, slice_ in zip(times, stack):
+        assert slice_.tobytes() == matrix_exp(B, t).tobytes()
+        if t == 0.0:
+            assert slice_.tobytes() == np.eye(len(B)).tobytes()
+
+
+def test_matrix_exp_shapes():
+    assert matrix_exp(ROT, 0.5).shape == (2, 2)
+    assert matrix_exp(ROT, np.float64(0.5)).shape == (2, 2)
+    assert matrix_exp(ROT, [0.5]).shape == (1, 2, 2)
+    assert matrix_exp(ROT, np.zeros((3, 4))).shape == (3, 4, 2, 2)
+    assert matrix_exp(ROT, np.zeros(0)).shape == (0, 2, 2)
 
 
 # --- evidence reductions ------------------------------------------------------
@@ -169,16 +291,20 @@ def test_solve_positive_definite():
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_solve_positive_definite_matches_scipy_solve_bitwise(n):
-    import scipy.linalg
-
+    # the Cholesky solves of both agree to 2 n cond(A) eps relative: each
+    # has a backward error of order n eps (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., Thm. 10.4); the largest ratio seen on
+    # these 80 systems is 0.12 n
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(100 + n)
     M = rng.normal(size=(n, n + 3))
     # a Gram matrix plus a small ridge, as the EDMD fit solves, and one
     # badly conditioned one
     for A in (M @ M.T + 1e-6 * np.eye(n), M @ np.diag(np.logspace(-7, 0, n + 3)) @ M.T):
         b = rng.normal(size=(n, 5))
-        expected = scipy.linalg.solve(A, b, assume_a="pos")
-        assert solve_positive_definite(A, b).tobytes() == expected.tobytes()
+        expected = scipy_linalg.solve(A, b, assume_a="pos")
+        error = np.linalg.norm(solve_positive_definite(A, b) - expected)
+        assert error <= 2 * n * np.linalg.cond(A) * EPS * np.linalg.norm(expected)
     with pytest.raises(np.linalg.LinAlgError):
         solve_positive_definite(M @ M.T - (n + 3) * np.abs(M).max() ** 2 * np.eye(n), b)
 
