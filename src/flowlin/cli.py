@@ -1,8 +1,10 @@
 """Command-line entry point: seeded, deterministic reports in JSON/CSV.
 
-Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on usage or configuration errors.  Timing is recorded only behind
-``--timing`` so that default outputs are bitwise reproducible per seed.
+Exit codes: 0 when every requested check passes, 1 when a check fails, 2
+on bad input: an argparse usage error, or a FlowlinError or floating-point
+exception, printed as the one line ``flowlin: <Name>: <message>``.  Timing
+is recorded only behind ``--timing`` so that default outputs are bitwise
+reproducible per seed.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from .embed import (
     overlap_identity_residual,
     verify_embedding_quality,
 )
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .flows import Trajectory, export_trajectory_csv, sample_trajectory
-
-
-class UsageError(Exception):
-    """Configuration problem: wrong flags, missing catalog data, bad input."""
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -72,18 +70,11 @@ def _write_report(args, checks: list[dict], extra: dict) -> int:
     return 0 if all(c["pass"] for c in checks) else 1
 
 
-def _entry(name: str) -> catalog.CatalogEntry:
-    try:
-        return catalog.get(name)
-    except catalog.UnknownEntry as err:
-        raise UsageError(str(err)) from err
-
-
 def _parse_floats(text: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as err:
-        raise UsageError(f"could not parse numbers from {text!r}") from err
+        raise InvalidInput(f"could not parse numbers from {text!r}") from err
 
 
 def _parse_state(text: str, entry) -> np.ndarray:
@@ -91,7 +82,7 @@ def _parse_state(text: str, entry) -> np.ndarray:
     x = _parse_floats(text)
     dim = entry.system.chart.dim
     if x.shape != (dim,) or not np.all(np.isfinite(x)):
-        raise UsageError(f"{entry.name} takes {dim} finite coordinates, got {text!r}")
+        raise InvalidInput(f"{entry.name} takes {dim} finite coordinates, got {text!r}")
     return x
 
 
@@ -113,17 +104,14 @@ def _cmd_catalog(args) -> int:
         _dump_json(rows, args.out)
         return 0
 
-    entry = _entry(args.name)
+    entry = catalog.get(args.name)
     if args.emit_trajectory:
         if args.x is None:
-            raise UsageError("--emit-trajectory requires --x")
+            raise InvalidInput("--emit-trajectory requires --x")
         if not args.out:
-            raise UsageError("--emit-trajectory requires --out")
+            raise InvalidInput("--emit-trajectory requires --out")
         x0 = _parse_state(args.x, entry)
-        try:
-            traj = sample_trajectory(entry.system, x0, np.linspace(0.0, args.tmax, args.steps))
-        except ValueError as err:
-            raise UsageError(f"could not sample the trajectory: {err}") from err
+        traj = sample_trajectory(entry.system, x0, np.linspace(0.0, args.tmax, args.steps))
         export_trajectory_csv(traj, args.out)
         return 0
 
@@ -163,7 +151,7 @@ def _built_candidate(entry) -> EmbeddingCandidate:
         if value is None
     ]
     if missing:
-        raise UsageError(
+        raise InvalidInput(
             f"{entry.name}: no buildable embedding; missing {', '.join(missing)} "
             "(the builder's phase precondition cannot be met)"
         )
@@ -201,11 +189,11 @@ def _evidence_checks(cand, entry, grid, states, tol, floor) -> tuple[list[dict],
 
 
 def _cmd_verify(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     rng = np.random.default_rng(args.seed)
     if args.embedding == "exact":
         if entry.exact_embedding is None:
-            raise UsageError(f"{entry.name} has no exact embedding")
+            raise InvalidInput(f"{entry.name} has no exact embedding")
         cand, provenance = entry.exact_embedding, "exact"
     else:
         cand, provenance = _built_candidate(entry), "built_topological"
@@ -219,7 +207,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     rng = np.random.default_rng(args.seed)
     states = entry.sample_states(rng, 40)
     overlap = None
@@ -228,7 +216,7 @@ def _cmd_build(args) -> int:
         cand = _built_candidate(entry)
     else:
         if entry.transverse is None or entry.attractor_embedding is None:
-            raise UsageError(
+            raise InvalidInput(
                 f"{entry.name}: no transverse equivariant data; smooth builder unavailable"
             )
         cand = build_smooth_embedding(
@@ -262,26 +250,21 @@ def _cmd_build(args) -> int:
 
 
 def _parse_schedule(text: str) -> phase.GeometricSchedule:
+    kind, _, params = text.partition(":")
     try:
-        kind, params = text.split(":")
-        if kind != "geometric":
-            raise ValueError
         t0, ratio, count = params.split(",")
         t0, ratio, count = float(t0), float(ratio), int(count)
-    except ValueError as err:
-        raise UsageError(
-            f"schedule must look like geometric:T0,ratio,count, got {text!r}"
-        ) from err
-    try:
-        return phase.GeometricSchedule(t0, ratio, count)
-    except (ValueError, OverflowError) as err:
-        raise UsageError(str(err)) from err
+    except ValueError:
+        kind = None
+    if kind != "geometric":
+        raise InvalidInput(f"schedule must look like geometric:T0,ratio,count, got {text!r}")
+    return phase.GeometricSchedule(t0, ratio, count)
 
 
 def _cmd_phase(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     if entry.attractor is None:
-        raise UsageError(f"{entry.name} has no attractor model")
+        raise InvalidInput(f"{entry.name} has no attractor model")
     x = _parse_state(args.x, entry)
     schedule = _parse_schedule(args.schedule)
     estimate = phase.estimate_phase(entry.system, entry.attractor, x, schedule)
@@ -302,7 +285,7 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     target = _parse_state(args.equilibrium, entry)
     match = None
     for eq in entry.equilibria:
@@ -310,9 +293,7 @@ def _cmd_index(args) -> int:
             match = eq
             break
     if match is None:
-        raise UsageError(
-            f"{entry.name} has no catalogued equilibrium at {target.tolist()}"
-        )
+        raise InvalidInput(f"{entry.name} has no catalogued equilibrium at {target.tolist()}")
     report_eq = obstruct.hopf_index_2d(
         match.planar_field, (0.0, 0.0), args.radius, args.samples
     )
@@ -328,9 +309,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     if entry.facts is None:
-        raise UsageError(
+        raise InvalidInput(
             f"{entry.name}: verdict rules apply to flows on compact manifolds; "
             "this entry has no compact-case facts"
         )
@@ -354,21 +335,18 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     omega = _parse_floats(args.omega)
     rng = np.random.default_rng(args.seed)
-    try:
-        verdict = obstruct.quasiperiodic_factor_certificate(
-            entry.system,
-            lambda x: np.asarray(x, float),
-            omega,
-            args.Q,
-            n_samples=args.samples,
-            tol=args.tol,
-            rng=rng,
-        )
-    except (obstruct.DimensionMismatch, ValueError) as err:
-        raise UsageError(str(err)) from err
+    verdict = obstruct.quasiperiodic_factor_certificate(
+        entry.system,
+        lambda x: np.asarray(x, float),
+        omega,
+        args.Q,
+        n_samples=args.samples,
+        tol=args.tol,
+        rng=rng,
+    )
     checks = [_equal("certificate_granted", verdict.conclusion, obstruct.CERTIFIED)]
     extra = {
         "conclusion": verdict.conclusion,
@@ -386,18 +364,18 @@ def _cmd_pinched(args) -> int:
     try:
         spec = pinched.load_spec(args.spec)
     except (OSError, ValueError, KeyError, TypeError) as err:
-        raise UsageError(f"could not load spec {args.spec!r}: {err}") from err
+        raise InvalidInput(f"could not load spec {args.spec!r}: {err}") from err
 
     if args.emit_trajectory:
         if not args.out:
-            raise UsageError("--emit-trajectory requires --out")
+            raise InvalidInput("--emit-trajectory requires --out")
         try:
             with open(args.emit_trajectory) as fh:
                 theta0 = np.array(json.load(fh)["theta"], dtype=float)
         except (OSError, ValueError, KeyError, TypeError) as err:
-            raise UsageError(f"could not load start point: {err}") from err
+            raise InvalidInput(f"could not load start point: {err}") from err
         if theta0.shape != (spec.n,) or not np.all(np.isfinite(theta0)):
-            raise UsageError(f"start point needs {spec.n} finite angles, got {theta0.tolist()}")
+            raise InvalidInput(f"start point needs {spec.n} finite angles, got {theta0.tolist()}")
         times = np.linspace(0.0, args.tmax, args.steps)
         orbit = pinched.flow(spec, pinched.make_point(spec, theta0), times)
         states = pinched.canonical_embedding(spec, orbit)
@@ -428,28 +406,28 @@ def _parse_dictionary(text: str, entry) -> edmd.Dictionary:
     try:
         kind, param = text.split(":")
     except ValueError as err:
-        raise UsageError(f"dictionary must look like kind:param, got {text!r}") from err
-    chart = entry.system.chart
-    try:
+        raise InvalidInput(f"dictionary must look like kind:param, got {text!r}") from err
+    if kind in ("fourier", "monomial"):
+        try:
+            degree = int(param)
+        except ValueError as err:
+            raise InvalidInput(f"bad dictionary {text!r} for {entry.name}: {err}") from err
         if kind == "fourier":
-            return edmd.fourier_dictionary(chart, int(param))
-        if kind == "monomial":
-            return edmd.monomial_dictionary(chart.dim, int(param))
-    except ValueError as err:
-        raise UsageError(f"bad dictionary {text!r} for {entry.name}: {err}") from err
+            return edmd.fourier_dictionary(entry.system.chart, degree)
+        return edmd.monomial_dictionary(entry.system.chart.dim, degree)
     if kind == "custom":
         if param not in entry.custom_observables:
-            raise UsageError(
+            raise InvalidInput(
                 f"{entry.name} has no custom dictionary {param!r}; "
                 f"available: {sorted(entry.custom_observables)}"
             )
         labels, maps = entry.custom_observables[param]
         return edmd.custom_dictionary(maps, labels)
-    raise UsageError(f"unknown dictionary kind {kind!r}")
+    raise InvalidInput(f"unknown dictionary kind {kind!r}")
 
 
 def _cmd_edmd(args) -> int:
-    entry = _entry(args.system)
+    entry = catalog.get(args.system)
     dictionary = _parse_dictionary(args.dict, entry)
     rng = np.random.default_rng(args.seed)
 
@@ -460,11 +438,7 @@ def _cmd_edmd(args) -> int:
     holdout = edmd.collect_snapshots(
         entry.system, holdout_states, args.step, max(dictionary.size, args.pairs // 5)
     )
-    try:
-        model = edmd.fit(dictionary, snapshots, ridge=args.ridge)
-    except (edmd.RankDeficient, ValueError) as err:
-        # too few pairs or too small a dictionary for the chart, or a singular Gram matrix
-        raise UsageError(str(err)) from err
+    model = edmd.fit(dictionary, snapshots, ridge=args.ridge)
     diag = edmd.diagnose(model, dictionary, entry.system, holdout, entry=entry)
 
     extra = {
@@ -603,11 +577,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.start = time.perf_counter()
     try:
-        return args.func(args)
-    except UsageError as err:
-        print(f"flowlin: {err}", file=sys.stderr)
-        return 2
-    except FlowlinError as err:
+        # a floating-point exception means the input left the range the
+        # arithmetic covers; library code that expects one handles it locally
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (FlowlinError, FloatingPointError) as err:
         print(f"flowlin: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .flows import ChartDescriptor, FlowSystem, evolve
 from .linalg import solve_positive_definite
 from .phase import GeometricSchedule, estimate_phase
@@ -76,7 +76,7 @@ def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:
     """Harmonics cos/sin(2 pi k x_i / period), k = 1..degree, of every angle coordinate."""
     angle_coords = [i for i, p in enumerate(chart.wraps) if p is not None]
     if not angle_coords:
-        raise ValueError("fourier dictionary needs at least one angle coordinate")
+        raise InvalidInput("fourier dictionary needs at least one angle coordinate")
     coords, rates, labels = [], [], []
     for i in angle_coords:
         period = chart.wraps[i]
@@ -140,7 +140,7 @@ def collect_snapshots(sys: FlowSystem, initial_states, step: float, count: int) 
     the trajectories still live.
     """
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise InvalidInput("step must be positive")
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim == 1:
         initial_states = initial_states[None, :]
@@ -178,20 +178,20 @@ def _residual(K: np.ndarray, PX: np.ndarray, PY: np.ndarray) -> float:
 def fit(dictionary: Dictionary, snapshots: SnapshotSet, ridge: float = 1e-10) -> EDMDModel:
     """Least-squares one-step operator via Tikhonov-regularized normal equations."""
     if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+        raise InvalidInput("ridge must be >= 0")
     n_pairs = len(snapshots.X)
     if n_pairs < dictionary.size:
-        raise ValueError(
+        raise InvalidInput(
             f"need at least D = {dictionary.size} pairs, got {n_pairs}"
         )
     if dictionary.size < snapshots.X.shape[1]:
-        raise ValueError(
+        raise InvalidInput(
             f"dictionary size {dictionary.size} below state dimension {snapshots.X.shape[1]}"
         )
     PX = dictionary.matrix(snapshots.X).T  # (D, N)
     PY = dictionary.matrix(snapshots.Y).T
     if not (np.all(np.isfinite(PX)) and np.all(np.isfinite(PY))):
-        raise ValueError("dictionary evaluations must be finite on the snapshots")
+        raise InvalidInput("dictionary evaluations must be finite on the snapshots")
     # einsum without optimize sums in numpy's own loops; a BLAS product of
     # this size would wake OpenBLAS worker threads
     G = np.einsum("in,jn->ij", PX, PX)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .flows import FlowSystem, evolve
 from .linalg import block_diag, expm_apply, generator, least, row_norms, worst
 from .phase import AttractorModel
@@ -103,7 +103,7 @@ class LyapunovData:
 
     def __post_init__(self):
         if self.level <= 0:
-            raise ValueError("Lyapunov level must be positive")
+            raise InvalidInput("Lyapunov level must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +311,7 @@ def build_topological_embedding(
         raise PhaseMapInvalid(f"F0 fails to linearize the restricted flow: residual {res0:.3g}")
     v_attractor = np.asarray(lyap.V(attractor.cloud[:50]), float)
     if (v_attractor > 1e-12).any():
-        raise ValueError(
+        raise InvalidInput(
             "Lyapunov function does not vanish on the attractor: "
             f"{v_attractor[v_attractor > 1e-12][0]:.3g}"
         )
@@ -324,7 +324,7 @@ def build_topological_embedding(
         norms = row_norms(hit)
         off = np.abs(norms - 1.0) > 1e-12
         if off.any():
-            raise ValueError(f"level-set embedding not on the unit sphere: |F1| = {norms[off][0]}")
+            raise InvalidInput(f"level-set embedding not on the unit sphere: |F1| = {norms[off][0]}")
 
     F0_map, k0 = F0.F, len(F0.B)
 

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .integrate import IntegrationFailure, integrate
-from .linalg import least, row_norms, worst
+from .linalg import row_norms, worst
 
 __all__ = [
     "ChartDescriptor",
@@ -180,17 +180,19 @@ class ChartDescriptor:
         ``images`` holds one row per row of ``states``, whose orbit is taken
         once.  Pairs at chart distance <= PAIR_CUTOFF are skipped.  A NaN
         ratio is kept, so NaN evidence gives a NaN margin, and with no pair
-        left the margin is NaN too: no evidence of injectivity.
+        left the margin is NaN too: no evidence of injectivity.  Each row's
+        ratios are reduced as they come, so memory stays O(N); time is O(N^2).
         """
         reps = self.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
         Y = np.asarray(images, dtype=float)
-        ratios = [np.empty(0)]
+        margin = np.inf
         for i in range(len(reps[0]) - 1):
             d_state = self._min_over_orbit(reps[0][i], [rep[i + 1 :] for rep in reps])
             apart = d_state > PAIR_CUTOFF
             diff = Y[i] - Y[i + 1 :][apart]
-            ratios.append(row_norms(diff) / d_state[apart])
-        return least(np.concatenate(ratios))
+            # np.minimum and min keep a NaN, unlike Python's min
+            margin = np.minimum(margin, (row_norms(diff) / d_state[apart]).min(initial=np.inf))
+        return float(margin) if margin != np.inf else np.nan
 
 
 def euclidean(n: int) -> ChartDescriptor:
@@ -210,7 +212,7 @@ def polar_annulus() -> ChartDescriptor:
 def product(*charts: ChartDescriptor) -> ChartDescriptor:
     wraps = tuple(w for c in charts for w in c.wraps)
     if any(c.identifications for c in charts):
-        raise ValueError("product of identified charts is not supported")
+        raise InvalidInput("product of identified charts is not supported")
     return ChartDescriptor("product", wraps)
 
 
@@ -235,7 +237,7 @@ class FlowSystem:
 
     def __post_init__(self):
         if (self.closed_form is None) == (self.vector_field is None):
-            raise ValueError("provide exactly one of closed_form / vector_field")
+            raise InvalidInput("provide exactly one of closed_form / vector_field")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,31 +251,41 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.states, dtype=float)
         if t.ndim != 1 or x.shape[0] != t.shape[0]:
-            raise ValueError("times and states must have matching leading length")
+            raise InvalidInput("times and states must have matching leading length")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
+            raise InvalidInput("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
-            raise ValueError("trajectory entries must be finite")
+            raise InvalidInput("trajectory entries must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
 
 
+# beyond 2**52 a float time keeps no bit below 1: theta + t forgets theta
+MAX_TIME = 2.0**52
+
+
 def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
     """Raise IntegrationFailure when some row's time is not finite, whichever
-    twin ``sys`` is, and TimeOutOfDomain when it is at or below its bound."""
-    bad = ~np.isfinite(t)
-    finite = not bad.any()
-    if finite and sys.t_min is not _no_lower_bound:
+    twin ``sys`` is, and TimeOutOfDomain when its size exceeds MAX_TIME or
+    it is at or below its bound."""
+    bad = ~(np.abs(t) <= MAX_TIME)  # a NaN time fails the comparison too
+    beyond = bad.any()
+    if beyond and not np.all(np.isfinite(t)):
+        bad = ~np.isfinite(t)  # a time that is not finite is named first
+    elif not beyond and sys.t_min is not _no_lower_bound:
         bound = np.asarray(sys.t_min(x))
         bad = np.isfinite(bound) & (t <= bound)
     if not bad.any():
         return
     row = np.unravel_index(np.argmax(bad), bad.shape)
     where = f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
-    if not finite:
-        raise IntegrationFailure(f"end time {np.asarray(t)[row]} is not finite{where}")
+    t_row = np.broadcast_to(t, bad.shape)[row]
+    if not np.isfinite(t_row):
+        raise IntegrationFailure(f"end time {t_row} is not finite{where}")
+    if beyond:
+        raise TimeOutOfDomain(f"{sys.name}: |t| = {abs(t_row):.6g} beyond time bound 2**52{where}")
     raise TimeOutOfDomain(
-        f"{sys.name}: t = {np.broadcast_to(t, bad.shape)[row]:.6g} at or below "
+        f"{sys.name}: t = {t_row:.6g} at or below "
         f"domain bound {np.broadcast_to(bound, bad.shape)[row]:.6g}{where}"
     )
 
@@ -283,9 +295,10 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
 
     ``x`` is one ``(dim,)`` state or an ``(N, dim)`` batch; ``t`` is a scalar
     or one time per row.  A row with t == 0 comes back as ``wrap(x)``
-    exactly.  Every row's time must be finite and above ``sys.t_min``.  A
-    vector field integrates the whole batch in one call, each row under its
-    own step control, and a row's result is its interpolant at its time.
+    exactly.  Every row's time must be finite, at most MAX_TIME in size and
+    above ``sys.t_min``.  A vector field integrates the whole batch in one
+    call, each row under its own step control, and a row's result is its
+    interpolant at its time.
     """
     x = np.asarray(x, dtype=float)
     # np.ndim costs microseconds on a Python float, the common single-state call
@@ -312,14 +325,14 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
     Closed-form systems are evaluated in one batched evolve call; vector-field
     systems use a single adaptive pass per time direction with dense-output
     interpolation.  A non-finite or not strictly increasing grid raises
-    ValueError on both before any integration, and a grid time at or below
+    InvalidInput on both before any integration, and a grid time at or below
     the domain bound raises TimeOutOfDomain naming its grid row.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.all(np.isfinite(t_grid)):
-        raise ValueError(f"{sys.name}: trajectory times must be finite")
+        raise InvalidInput(f"{sys.name}: trajectory times must be finite")
     if not np.all(np.diff(t_grid) > 0):
-        raise ValueError("times must be strictly increasing")
+        raise InvalidInput("times must be strictly increasing")
     x = np.asarray(x, dtype=float)
     states = np.broadcast_to(x, t_grid.shape + x.shape)
     if sys.closed_form is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 
 
 class DimensionTooLarge(FlowlinError):
@@ -52,11 +52,11 @@ def generator(B) -> np.ndarray:
     """Generator of the linear flow t -> exp(B t), as a finite square float array."""
     a = np.atleast_2d(np.asarray(B, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"generator must be square, got shape {a.shape}")
+        raise InvalidInput(f"generator must be square, got shape {a.shape}")
     if a.shape[0] < 1:
-        raise ValueError("generator dimension must be >= 1")
+        raise InvalidInput("generator dimension must be >= 1")
     if not np.all(np.isfinite(a)):
-        raise ValueError("generator entries must be finite")
+        raise InvalidInput("generator entries must be finite")
     return a
 
 
@@ -64,9 +64,9 @@ def frequency_vector(omega) -> np.ndarray:
     """Frequencies of a torus flow, one per angle, as a finite 1-D float array."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if w.ndim != 1:
-        raise ValueError("frequency vector must be one-dimensional")
+        raise InvalidInput("frequency vector must be one-dimensional")
     if not np.all(np.isfinite(w)):
-        raise ValueError("frequency entries must be finite")
+        raise InvalidInput("frequency entries must be finite")
     return w
 
 
@@ -93,7 +93,7 @@ def matrix_exp(B, t) -> np.ndarray:
     B = generator(B)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
-        raise ValueError("time must be finite")
+        raise InvalidInput("time must be finite")
     k = len(B)
     with np.errstate(over="ignore", invalid="ignore"):
         A = (B * t[..., None, None]).reshape(-1, k, k)
@@ -208,7 +208,7 @@ def rational_independence(omega, max_coeff: int, tol: float = 1e-9) -> Independe
             f"exhaustive search supports at most {MAX_INDEPENDENCE_DIM} frequencies, got {n}"
         )
     if max_coeff < 1:
-        raise ValueError("max_coeff must be >= 1")
+        raise InvalidInput("max_coeff must be >= 1")
     Q = int(max_coeff)
 
     # near-zero components admit the trivial unit-vector relation

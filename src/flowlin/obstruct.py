@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .flows import FlowSystem, evolve, torus_angles
 from .linalg import frequency_vector, rational_independence, worst
 
@@ -109,7 +109,7 @@ def hopf_index_2d(field: Callable, center, radius: float, n_samples: int = 256) 
     of 2*pi.
     """
     if n_samples < MIN_WINDING_SAMPLES:
-        raise ValueError(f"need at least {MIN_WINDING_SAMPLES} circle samples")
+        raise InvalidInput(f"need at least {MIN_WINDING_SAMPLES} circle samples")
     center = np.asarray(center, dtype=float)
     n = int(n_samples)
     while True:
@@ -252,7 +252,7 @@ def quasiperiodic_factor_certificate(
             f"system dimension {sys.chart.dim} != frequency vector length {n}"
         )
     if n_samples < MIN_CERTIFICATE_SAMPLES:
-        raise ValueError(f"certificate needs at least {MIN_CERTIFICATE_SAMPLES} sample pairs")
+        raise InvalidInput(f"certificate needs at least {MIN_CERTIFICATE_SAMPLES} sample pairs")
 
     indep = rational_independence(w, max_coeff, tol)
     if not indep.independent:
@@ -263,7 +263,7 @@ def quasiperiodic_factor_certificate(
         )
 
     if any(p is None for p in sys.chart.wraps):
-        raise ValueError("the certificate samples a fully wrapped (torus) chart")
+        raise InvalidInput("the certificate samples a fully wrapped (torus) chart")
     periods = np.array(sys.chart.wraps, dtype=float)
     states = rng.random((n_samples, n)) * periods
     times = rng.uniform(-10.0, 10.0, n_samples)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .flows import FlowSystem, evolve
 from .integrate import batch_pow
 from .linalg import worst
@@ -95,13 +95,16 @@ class GeometricSchedule:
 
     def __post_init__(self):
         if self.ratio <= 1.0:
-            raise ValueError("geometric schedule requires ratio > 1")
+            raise InvalidInput("geometric schedule requires ratio > 1")
         if self.count < 2 or self.t0 <= 0:
-            raise ValueError("schedule needs count >= 2 and t0 > 0")
-        with np.errstate(over="ignore"):
-            last = self.t0 * np.float64(self.ratio) ** (self.count - 1)
+            raise InvalidInput("schedule needs count >= 2 and t0 > 0")
+        try:
+            with np.errstate(over="ignore"):
+                last = self.t0 * np.float64(self.ratio) ** (self.count - 1)
+        except OverflowError as err:  # a count too large for a float exponent
+            raise InvalidInput(str(err)) from err
         if not np.isfinite(last):
-            raise ValueError(f"schedule's last horizon {last} is not finite")
+            raise InvalidInput(f"schedule's last horizon {last} is not finite")
 
     @property
     def horizons(self):

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 from .linalg import block_diag, expm_apply, least, row_norms, worst
 
 __all__ = [
@@ -66,12 +66,12 @@ class ArcSet:
         parsed = []
         for box in boxes:
             if len(box) != m:
-                raise ValueError(f"box must have {m} arcs, got {len(box)}")
+                raise InvalidInput(f"box must have {m} arcs, got {len(box)}")
             arcs = []
             for lo, hi in box:
                 lo, hi = Fraction(lo), Fraction(hi)
                 if not (0 <= lo <= hi <= 1):
-                    raise ValueError(f"arc [{lo}, {hi}] not within [0, 1]")
+                    raise InvalidInput(f"arc [{lo}, {hi}] not within [0, 1]")
                 arcs.append((lo, hi))
             parsed.append(tuple(arcs))
         self.boxes = tuple(parsed)
@@ -98,7 +98,7 @@ class ArcSet:
     def distance(self, points) -> np.ndarray:
         """Product-metric circle distance from each point of T^m to the set, (..., m) -> (...)."""
         if self.empty:
-            raise ValueError("distance to the empty set is undefined")
+            raise InvalidInput("distance to the empty set is undefined")
         x, inside = self._arcs(points)
         to_lo, to_hi = np.abs(x - self.lo), np.abs(x - self.hi)
         d = np.minimum(np.minimum(to_lo, 1.0 - to_lo), np.minimum(to_hi, 1.0 - to_hi))
@@ -191,22 +191,22 @@ class PinchedTorusSpec:
     def __post_init__(self):
         M = np.asarray(self.M, dtype=int)
         if M.shape != (self.m, self.n):
-            raise ValueError(f"M must be {self.m}x{self.n}, got {M.shape}")
+            raise InvalidInput(f"M must be {self.m}x{self.n}, got {M.shape}")
         if len(self.pinch_loci) != self.n:
-            raise ValueError(f"need {self.n} pinch loci, got {len(self.pinch_loci)}")
+            raise InvalidInput(f"need {self.n} pinch loci, got {len(self.pinch_loci)}")
         object.__setattr__(self, "M", M)
         for prime, vec in self.omega_terms:
             residual = M @ np.array([Fraction(v) for v in vec], dtype=object)
             if any(v != 0 for v in residual):
-                raise ValueError(f"omega term for prime {prime} is not in ker(M)")
+                raise InvalidInput(f"omega term for prime {prime} is not in ker(M)")
         for j, locus in enumerate(self.pinch_loci):
             if locus.empty:
                 continue
             if not locus.subset_of(self.base_region):
-                raise ValueError(f"pinch locus C_{j + 1} is not contained in S")
+                raise InvalidInput(f"pinch locus C_{j + 1} is not contained in S")
             # collapsing theta_j must leave the base point M theta where it is
             if M[:, j].any():
-                raise ValueError(
+                raise InvalidInput(
                     f"pinch locus C_{j + 1} collapses factor {j + 1}, "
                     "whose column of M is not zero"
                 )
@@ -303,7 +303,7 @@ def sample_points(spec: PinchedTorusSpec, count: int, rng):
     budget = 1000 * count
     while len(kept) < count:
         if budget == 0:
-            raise ValueError("rejection sampling failed; base region too small")
+            raise InvalidInput("rejection sampling failed; base region too small")
         theta = rng.random((min(count - len(kept), budget), spec.n))
         budget -= len(theta)
         inside = spec.base_region.contains(theta @ spec.M.T)
@@ -331,7 +331,7 @@ def verify_family(
     No evidence fails: a pinch locus with no fiber point to try is not quotient
     consistent, and with no two distinct points the separation is NaN."""
     if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+        raise InvalidInput(f"need at least {MIN_SAMPLES} samples")
     points = sample_points(spec, n_samples, rng)
     theta, base, _ = points
     B = embedding_generator(spec)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowlin import catalog, edmd, embed
 from flowlin.embed import BracketFailure, OnAttractor, impact_time
-from flowlin.flows import FlowSystem, TimeOutOfDomain, euclidean, evolve
+from flowlin.flows import MAX_TIME, FlowSystem, TimeOutOfDomain, euclidean, evolve
 from flowlin.integrate import IntegrationFailure, integrate
 
 CLOSED_FORMS = [name for name in catalog.names() if catalog.get(name).system.closed_form]
@@ -378,6 +378,21 @@ def test_non_finite_end_time_raises_naming_its_row(t_end):
             evolve(sys, X[0], t_end)
         with pytest.raises(IntegrationFailure, match=r" is not finite \(row 1\)$"):
             evolve(sys, X, np.array([1.0, t_end, 0.0]))
+
+
+def test_time_beyond_the_bound_raises_naming_it_and_its_row():
+    # the closed form and its vector-field twin reject it before any flow call
+    entry = catalog.get("log_radial")
+    X = np.array([[1.5, 0.3], [0.8, 2.0], [2.0, 0.0]])
+    beyond = np.nextafter(MAX_TIME, np.inf)
+    for sys in (entry.system, entry.ode_system):
+        with pytest.raises(TimeOutOfDomain, match=r"beyond time bound 2\*\*52$"):
+            evolve(sys, X[0], beyond)
+        with pytest.raises(TimeOutOfDomain, match=r"beyond time bound 2\*\*52 \(row 1\)$"):
+            evolve(sys, X, np.array([1.0, -beyond, 0.0]))
+    # the bound itself is a time a flow takes
+    torus = catalog.get("quasiperiodic_torus_2").system
+    assert np.all(np.isfinite(evolve(torus, np.array([0.1, 0.2]), MAX_TIME)))
 
 
 def _fourier_reference(chart, degree, x):

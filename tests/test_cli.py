@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from flowlin import catalog, cli, embed, linalg, pinched
+from flowlin import FlowlinError, catalog, cli, embed, linalg, pinched
 from flowlin.cli import main
 
 SINGLE_PINCH = {
@@ -188,14 +189,15 @@ def test_phase_command(tmp_path):
 def test_phase_bad_schedule(tmp_path, capsys):
     # a malformed text gets the format message; a well-formed one the schedule's own
     for schedule, message in [
-        ("arithmetic:1,2,8", "schedule must look like geometric:T0,ratio,count"),
+        ("arithmetic:1,2,8",
+         "schedule must look like geometric:T0,ratio,count, got 'arithmetic:1,2,8'"),
         ("geometric:1,2,2000", "schedule's last horizon inf is not finite"),
         ("geometric:1,0.5,4", "geometric schedule requires ratio > 1"),
         ("geometric:1,2," + "9" * 400, "int too large to convert to float"),
     ]:
         assert run(["phase", "--system", "log_radial", "--x", "2,0",
                     "--schedule", schedule, "--out", str(tmp_path / "x.json")]) == 2
-        assert capsys.readouterr().err.startswith(f"flowlin: {message}")
+        assert capsys.readouterr().err == f"flowlin: InvalidInput: {message}\n"
 
 
 def test_index_command(tmp_path):
@@ -396,7 +398,41 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("flowlin: ") and err.count("\n") == 1
+    name = re.match(r"flowlin: (\w+): ", err)
+    assert name and name.group(1) in ERROR_NAMES and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _subclasses(cls):
+    return {cls.__name__}.union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+# every name the one-line message of an exit-2 error may start with
+ERROR_NAMES = _subclasses(FlowlinError) | {"FloatingPointError"}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # r = 0 is off the punctured plane: log(0) divides by zero
+        (["phase", "--system", "log_radial", "--x", "0,0", "--schedule", "geometric:1,2,12"],
+         "FloatingPointError"),
+        # the planar field and its norm overflow on the circle
+        (["index", "--system", "sphere_rotation", "--equilibrium", "0,0,1",
+          "--radius", "1e308"], "FloatingPointError"),
+        # the relation search overflows
+        (["certify", "--system", "quasiperiodic_torus_2", "--omega", "1,1e308", "--Q", "50"],
+         "FloatingPointError"),
+        # at t = 1e300 the angle theta + t keeps no bit of theta
+        (["edmd", "--system", "annulus_cubic", "--dict", "monomial:3", "--pairs", "2000",
+          "--step", "1e300"], "TimeOutOfDomain"),
+    ],
+)
+def test_input_outside_the_arithmetic_exits_2_naming_the_fault(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowlin: {name}: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

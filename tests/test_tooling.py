@@ -1,7 +1,9 @@
 """Tooling that names code: the tracer's method table and counters, module
-exports, and the README's CLI and spec file examples."""
+exports, the package's exception classes, and the README's CLI and spec
+file examples."""
 
 import ast
+import builtins
 import importlib
 import re
 import shlex
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowlin import catalog, cli, pinched
+from flowlin import FlowlinError, catalog, cli, pinched
 from flowlin.integrate import integrate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +44,68 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"flowlin.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"flowlin.{module}.__all__ names {missing}, which are gone"
+
+
+SOURCES = sorted((ROOT / "src" / "flowlin").glob("*.py"))
+
+
+def _scoped_nodes(tree):
+    """(dotted name of the enclosing function or "<module>", node) for every node."""
+    stack = [("<module>", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def _resolve(namespace: dict, dotted: str):
+    """The object a dotted name means in a module namespace, else a builtin; None if neither."""
+    head, *rest = dotted.split(".")
+    obj = namespace.get(head, getattr(builtins, head, None))
+    for attr in rest:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+# raises of classes outside flowlin that are a protocol, not an error path
+PROTOCOL_RAISES = {
+    ("cli", "_number.parse", "argparse.ArgumentTypeError"),  # argparse's type protocol
+    ("cli", "<module>", "SystemExit"),  # the exit code of the script entry points
+    ("__main__", "<module>", "SystemExit"),
+}
+
+
+def test_every_raised_class_is_a_flowlin_error():
+    # so that the CLI's one handler reports every bad input with exit code 2
+    found = set()
+    for path in SOURCES:
+        # importing __main__ would run the CLI; its names are builtins
+        namespace = {} if path.stem == "__main__" else vars(
+            importlib.import_module(f"flowlin.{path.stem}")
+        )
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare raise re-raises what was caught
+            name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            cls = _resolve(namespace, name)
+            if isinstance(cls, type) and not issubclass(cls, FlowlinError):
+                found.add((path.stem, scope, name))
+    assert found == PROTOCOL_RAISES
+
+
+def test_every_exception_class_derives_from_flowlin_error():
+    classes = [
+        (path.stem, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    for module, name in classes:
+        cls = getattr(importlib.import_module(f"flowlin.{module}"), name)
+        if issubclass(cls, BaseException):
+            assert issubclass(cls, FlowlinError), f"flowlin.{module}.{name}"
 
 
 def _readme_commands():
