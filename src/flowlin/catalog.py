@@ -17,17 +17,19 @@ import numpy as np
 from .embed import EmbeddingCandidate, LyapunovData, TransverseData
 from .errors import FlowlinError
 from .flows import (
+    TWO_PI,
     ChartDescriptor,
     FlowSystem,
+    circle_coords,
     euclidean,
-    evolve,
     join_coords,
     polar_annulus,
     product,
     torus_angles,
+    torus_translation,
 )
 from .integrate import batch_pow
-from .linalg import block_diag, frequency_vector, row_norms, worst
+from .linalg import block_diag, frequency_vector, row_norms
 from .obstruct import SystemFacts
 from .phase import AttractorModel
 
@@ -38,10 +40,8 @@ __all__ = [
     "EquilibriumInfo",
     "CatalogEntry",
     "UnknownEntry",
-    "MissingAction",
     "names",
     "get",
-    "verify_action",
     "standard_grid",
     "STANDARD_TIMES",
 ]
@@ -51,17 +51,9 @@ class UnknownEntry(FlowlinError):
     """No catalog entry under that name."""
 
 
-class MissingAction(FlowlinError):
-    """Entry carries no torus action."""
-
-
-TWO_PI = 2.0 * np.pi
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 STANDARD_TIMES = (0.0, 0.1, 1.0, float(np.pi), 10.0)
 _CLOUD_SEED = 77003
-# sample count and largest accepted violation of verify_action
-ACTION_SAMPLES = 500
-ACTION_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,32 +122,20 @@ _TORUS_OMEGAS = {
 
 def _torus_entry(n: int) -> CatalogEntry:
     w = _TORUS_OMEGAS[n]
-    chart = torus_angles(n)
-    system = FlowSystem(
-        name=f"quasiperiodic_torus_{n}",
-        chart=chart,
-        closed_form=lambda t, x: x + w * np.asarray(t)[..., None],
-    )
+    system = torus_translation(f"quasiperiodic_torus_{n}", w)
     action = TorusActionSpec(
-        action=lambda h, x: chart.wrap(np.asarray(x, float) + np.asarray(h, float)),
+        action=lambda h, x: system.chart.wrap(np.asarray(x, float) + np.asarray(h, float)),
         omega=w,
     )
-
-    def F(x):
-        ang = TWO_PI * np.asarray(x, float)
-        out = np.empty(ang.shape[:-1] + (2 * n,))
-        out[..., 0::2] = np.cos(ang)
-        out[..., 1::2] = np.sin(ang)
-        return out
-
     B = block_diag(*[TWO_PI * wi * _J for wi in w])
+    embedding = EmbeddingCandidate(lambda x: circle_coords(TWO_PI * np.asarray(x, float), 1.0), B)
     return CatalogEntry(
-        name=f"quasiperiodic_torus_{n}",
+        name=system.name,
         system=system,
         expected_verdict=ExpectedVerdict("linearizable_smooth"),
         sample_states=lambda rng, count: rng.random((count, n)),
         action=action,
-        exact_embedding=EmbeddingCandidate(F, B),
+        exact_embedding=embedding,
         facts=SystemFacts(dim=n, surface_type="torus" if n == 2 else None,
                           euler_characteristic=0),
     )
@@ -597,34 +577,3 @@ def get(name: str) -> CatalogEntry:
 def standard_grid(entry: CatalogEntry, rng):
     """The default verification grid: 20 states drawn from ``rng`` x STANDARD_TIMES."""
     return entry.sample_states(rng, 20), list(STANDARD_TIMES)
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    max_identity_violation: float
-    max_additivity_violation: float
-    max_flow_match_violation: float
-    n_samples: int
-    passed: bool
-
-
-def verify_action(entry: CatalogEntry) -> ActionReport:
-    """Check the torus-action axioms and the flow/action compatibility."""
-    if entry.action is None:
-        raise MissingAction(f"{entry.name} has no torus action")
-    rng = np.random.default_rng(1)
-    spec = entry.action
-    chart = entry.system.chart
-    xs = entry.sample_states(rng, ACTION_SAMPLES)
-    hs = rng.random((ACTION_SAMPLES, len(spec.omega)))
-    hs2 = rng.random((ACTION_SAMPLES, len(spec.omega)))
-    ts = rng.uniform(-10.0, 10.0, ACTION_SAMPLES)
-
-    act = spec.action
-    ident = chart.distances(act(np.zeros_like(hs), xs), xs)
-    add = chart.distances(act(np.mod(hs + hs2, 1.0), xs), act(hs, act(hs2, xs)))
-    along = np.mod(np.multiply.outer(ts, spec.omega), 1.0)
-    match = chart.distances(evolve(entry.system, xs, ts), act(along, xs))
-    ident, add, match = worst(ident), worst(add), worst(match)
-    passed = ident <= ACTION_TOL and add <= ACTION_TOL and match <= ACTION_TOL
-    return ActionReport(ident, add, match, ACTION_SAMPLES, passed)

@@ -14,13 +14,14 @@ Dictionaries follow the flows batch convention: ``evaluate`` maps an
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import ChartDescriptor, FlowSystem, evolve
+from .flows import ChartDescriptor, FlowSystem, circle_coords, evolve
 from .linalg import solve_positive_definite
 from .phase import GeometricSchedule, estimate_phase
 
@@ -88,21 +89,15 @@ def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:
     rates = np.array(rates)
 
     def evaluate(x):
-        ang = rates * np.asarray(x, float)[..., coords]
-        out = np.empty(ang.shape[:-1] + (2 * len(rates),))
-        out[..., 0::2] = np.cos(ang)
-        out[..., 1::2] = np.sin(ang)
-        return out
+        return circle_coords(rates * np.asarray(x, float)[..., coords], 1.0)
 
     return Dictionary("fourier", evaluate, tuple(labels))
 
 
 def monomial_dictionary(dim: int, degree: int) -> Dictionary:
     """All monomials of total degree <= degree, constant included."""
-    from itertools import product as iproduct
-
     powers = [
-        p for p in iproduct(range(degree + 1), repeat=dim) if sum(p) <= degree
+        p for p in itertools.product(range(degree + 1), repeat=dim) if sum(p) <= degree
     ]
     powers.sort(key=lambda p: (sum(p), p))
     exponents = np.array(powers)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FlowlinError, InvalidInput
 from .flows import FlowSystem, evolve
 from .linalg import block_diag, expm_apply, generator, least, row_norms, worst
-from .phase import AttractorModel
+from .phase import AttractorModel, verify_phase_properties
 
 __all__ = [
     "LyapunovData",
@@ -275,8 +275,6 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
 
 
 def _check_phase_map(sys, attractor, P, validation_states):
-    from .phase import verify_phase_properties
-
     report = verify_phase_properties(
         sys, P, validation_states, attractor.cloud[:50], t_grid=(0.0, 0.5, 1.0, 2.0),
         tol=PHASE_MAP_TOL,

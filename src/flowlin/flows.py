@@ -33,10 +33,12 @@ __all__ = [
     "TimeOutOfDomain",
     "IntegrationFailure",
     "join_coords",
+    "circle_coords",
     "euclidean",
     "torus_angles",
     "polar_annulus",
     "product",
+    "torus_translation",
     "evolve",
     "sample_trajectory",
     "check_group_law",
@@ -61,6 +63,14 @@ def join_coords(*coords) -> np.ndarray:
     if out.ndim == 1:
         return out
     return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
+
+
+def circle_coords(ang, rho) -> np.ndarray:
+    """The points rho e^{i ang} of C^k as (re, im) pairs: (..., k) angles -> (..., 2k)."""
+    out = np.empty(ang.shape[:-1] + (2 * ang.shape[-1],))
+    out[..., 0::2] = rho * np.cos(ang)
+    out[..., 1::2] = rho * np.sin(ang)
+    return out
 
 
 ORBIT_LIMIT = 64  # largest identification group a chart may generate
@@ -238,6 +248,13 @@ class FlowSystem:
     def __post_init__(self):
         if (self.closed_form is None) == (self.vector_field is None):
             raise InvalidInput("provide exactly one of closed_form / vector_field")
+
+
+def torus_translation(name: str, omega) -> FlowSystem:
+    """The translation ``theta -> theta + omega t`` on the torus of angles mod 1."""
+    omega = np.asarray(omega, dtype=float)
+    chart = torus_angles(len(omega))
+    return FlowSystem(name, chart, closed_form=lambda t, x: x + omega * np.asarray(t)[..., None])
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import FlowSystem, evolve, torus_angles
+from .flows import FlowSystem, evolve, torus_angles, torus_translation
 from .linalg import frequency_vector, rational_independence, worst
 
 __all__ = [
@@ -269,7 +269,7 @@ def quasiperiodic_factor_certificate(
     times = rng.uniform(-10.0, 10.0, n_samples)
 
     lhs = np.asarray(Fmap(evolve(sys, states, times)), dtype=float)
-    rhs = np.mod(np.asarray(Fmap(states), dtype=float) + np.multiply.outer(times, w), 1.0)
+    rhs = evolve(torus_translation("factor_translation", w), Fmap(states), times)
     residual = worst(torus_angles(n).distances(lhs, rhs))
     if not residual <= tol:
         return Verdict(

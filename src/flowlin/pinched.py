@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
+from .flows import TWO_PI, FlowSystem, circle_coords, evolve, torus_translation
 from .linalg import block_diag, expm_apply, least, row_norms, worst
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "load_spec",
 ]
 
-TWO_PI = 2.0 * np.pi
 # largest accepted ||F(Phi^t p) - e^{Bt} F(p)|| of the canonical embedding
 LINEARITY_TOL = 1e-10
 MIN_SAMPLES = 100
@@ -219,6 +219,11 @@ class PinchedTorusSpec:
             omega = omega + np.sqrt(float(prime)) * np.array([float(v) for v in vec])
         return omega
 
+    @cached_property
+    def system(self) -> FlowSystem:
+        """The translation along ``omega`` on T^n that the family's angles follow."""
+        return torus_translation("pinched", self.omega)
+
 
 def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorusSpec:
     """Build a spec; omega defaults to the prime-mixed kernel direction."""
@@ -247,19 +252,26 @@ def make_point(spec: PinchedTorusSpec, theta):
     outside = ~spec.base_region.contains(base)
     if np.any(outside):
         raise NotInFamily(f"base point {base[outside][0]} outside the base region")
+    return _over_base(spec, theta, base)
+
+
+def _over_base(spec: PinchedTorusSpec, theta, base):
+    """Family points of angles ``theta`` in [0, 1) whose base points ``base`` lie in S."""
     mask = np.stack([locus.contains(base) for locus in spec.pinch_loci], axis=-1)
     return np.where(mask, 0.0, theta), base, mask
 
 
 def flow(spec: PinchedTorusSpec, point, t):
-    """Translate theta by omega * t, one time per row.
+    """Evolve theta under ``spec.system``, one time per row.
 
     omega lies in the kernel of M, so the base point stays exactly fixed:
-    base and mask are carried, never recomputed from the flowed theta.
+    base and mask are carried, never recomputed from the flowed theta.  A
+    time beyond the flows' time bound raises TimeOutOfDomain.
     """
     theta, base, mask = point
-    theta = np.mod(theta + spec.omega * np.asarray(t, dtype=float)[..., None], 1.0)
-    lead = theta.shape[:-1]
+    t = np.asarray(t, dtype=float)
+    lead = np.broadcast_shapes(theta.shape[:-1], t.shape)
+    theta = evolve(spec.system, np.broadcast_to(theta, lead + theta.shape[-1:]), t)
     return (
         np.where(mask, 0.0, theta),
         np.broadcast_to(base, lead + base.shape[-1:]),
@@ -279,10 +291,7 @@ def canonical_embedding(spec: PinchedTorusSpec, point) -> np.ndarray:
     for j, locus in enumerate(spec.pinch_loci):
         if not locus.empty:
             rho[..., j] = locus.distance(base)
-    out = np.empty(ang.shape[:-1] + (2 * ang.shape[-1],))
-    out[..., 0::2] = rho * np.cos(ang)
-    out[..., 1::2] = rho * np.sin(ang)
-    return out
+    return circle_coords(ang, rho)
 
 
 def embedding_generator(spec: PinchedTorusSpec) -> np.ndarray:
@@ -347,24 +356,22 @@ def verify_family(
     for locus_index, locus in enumerate(spec.pinch_loci):
         tried = False
         for box in locus.boxes:
-            base_target = np.array([float((lo + hi) / 2) for lo, hi in box])
-            theta0 = _solve_fiber(spec, base_target)
+            mid = [(lo + hi) / 2 for lo, hi in box]
+            theta0 = _solve_fiber(spec, mid)
             if theta0 is None:
                 continue
             tried = True
             # trial i sets the collapsed angle to a_i in raw[0] and b_i in raw[1],
-            # with (a_i, b_i) the draws of the i-th of ten rng.random(2) calls
+            # with (a_i, b_i) the draws of the i-th of ten rng.random(2) calls;
+            # that angle never enters M theta, so every trial's base is the
+            # box midpoint, exactly
             raw = np.tile(theta0, (2, 10, 1))
             raw[..., locus_index] = rng.random((10, 2)).T
-            # a fiber solve can also leave S in floating point: skip those trials
-            raw = raw[:, np.all(spec.base_region.contains(raw @ spec.M.T), axis=0)]
-            pa, pb = make_point(spec, raw[0]), make_point(spec, raw[1])
+            at_mid = np.tile(np.array(mid, dtype=float), (10, 1))
+            pa = _over_base(spec, np.mod(raw[0], 1.0), at_mid)
             ea = canonical_embedding(spec, (raw[0], *pa[1:]))
-            eb = canonical_embedding(spec, (raw[1], *pb[1:]))
-            ec = canonical_embedding(spec, pa)
-            agree = np.all(ea == eb, axis=-1) & np.all(ec == ea, axis=-1)
-            # rows whose fiber solve missed the locus in floating point are skipped
-            if not np.all(agree[pa[2][:, locus_index]]):
+            eb = canonical_embedding(spec, (raw[1], *pa[1:]))
+            if not (np.all(ea == eb) and np.all(canonical_embedding(spec, pa) == ea)):
                 consistent = False
         if not (locus.empty or tried):
             consistent = False
@@ -383,11 +390,10 @@ def verify_family(
     return FamilyReport(residual, consistent, min_sep, radius, n_samples, passed)
 
 
-def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):
-    """A rational theta with M theta congruent to the target base point, if any."""
-    fracs = [Fraction(v).limit_denominator(10**6) for v in base]
+def _solve_fiber(spec: PinchedTorusSpec, base: list[Fraction]):
+    """A rational theta with M theta congruent to the exact base point, if any."""
     for offsets in itertools.product((0, -1, 1), repeat=spec.m):
-        target = [f + o for f, o in zip(fracs, offsets)]
+        target = [b + o for b, o in zip(base, offsets)]
         rows = [
             [Fraction(int(spec.M[i, j])) for j in range(spec.n)] + [target[i]]
             for i in range(spec.m)
@@ -395,10 +401,6 @@ def _solve_fiber(spec: PinchedTorusSpec, base: np.ndarray):
         rref, pivots = _rref(rows)
         if any(pc >= spec.n for pc in pivots):
             continue  # pivot in the augmented column: inconsistent system
-        if any(
-            all(row[c] == 0 for c in range(spec.n)) and row[spec.n] != 0 for row in rref
-        ):
-            continue
         theta = [Fraction(0)] * spec.n
         for r, pc in enumerate(pivots):
             theta[pc] = rref[r][spec.n]
@@ -415,10 +417,7 @@ def load_spec(path) -> PinchedTorusSpec:
         data = json.load(fh)
     omega_terms = None
     if data.get("omega"):
-        omega_terms = [
-            (term["prime_scale"], [Fraction(v) for v in term["rational"]])
-            for term in data["omega"]
-        ]
+        omega_terms = [(term["prime_scale"], term["rational"]) for term in data["omega"]]
     return make_spec(
         n=int(data["n"]),
         m=int(data["m"]),

@@ -250,6 +250,19 @@ def test_pinched_check_and_trajectory(tmp_path):
     assert len(lines) == 65
 
 
+def test_pinched_time_beyond_the_bound_exits_2(tmp_path, capsys):
+    spec_path, x0 = tmp_path / "pinch.json", tmp_path / "x0.json"
+    spec_path.write_text(json.dumps(SINGLE_PINCH))
+    x0.write_text(json.dumps({"theta": [0.0, 0.5]}))
+    out = tmp_path / "o.csv"
+    assert run(["pinched", "--spec", str(spec_path), "--emit-trajectory", str(x0),
+                "--tmax", "1e20", "--steps", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "flowlin: TimeOutOfDomain: pinched: |t| = 5e+19 beyond time bound 2**52 (row 1)\n"
+    )
+    assert not out.exists()
+
+
 def test_pinched_needs_check_or_trajectory(tmp_path):
     spec_path = tmp_path / "pinch.json"
     spec_path.write_text(json.dumps(SINGLE_PINCH))

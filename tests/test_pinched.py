@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flowlin import pinched
 from flowlin.cli import main
-from flowlin.flows import torus_angles
+from flowlin.flows import TimeOutOfDomain, torus_angles
 from flowlin.linalg import matrix_exp
 from flowlin.pinched import (
     LINEARITY_TOL,
@@ -286,6 +287,30 @@ def test_fiber_solve_that_leaves_the_base_region_is_skipped():
     )
     report = verify_family(spec, n_samples=100, rng=np.random.default_rng(0))
     assert report.quotient_consistent and report.passed
+
+
+def test_quotient_trials_compare_rows(monkeypatch):
+    # the same spec with an embedding that leaks the collapsed angle: its
+    # trials sit on the exact locus midpoint, so they are compared, and fail
+    spec = make_spec(
+        n=3, m=2, M=[[1, -1, 0], [-2, -1, 0]], base_boxes=[[("1/8", "1"), ("0", "1/4")]],
+        loci_boxes=[[], [], [[("1", "1"), ("0", "1/16")]]],
+    )
+    canonical = pinched.canonical_embedding
+    monkeypatch.setattr(
+        pinched, "canonical_embedding",
+        lambda spec, point: canonical(spec, point) + 1e-3 * point[0][..., 2:3],
+    )
+    report = verify_family(spec, n_samples=100, rng=np.random.default_rng(0))
+    assert not report.quotient_consistent and not report.passed
+
+
+def test_flow_beyond_the_time_bound_raises_naming_the_row():
+    spec = single_pinch_spec()
+    point = make_point(spec, [0.25, 0.5])
+    bound = r"pinched: \|t\| = 1e\+20 beyond time bound 2\*\*52 \(row 1\)"
+    with pytest.raises(TimeOutOfDomain, match=bound):
+        flow(spec, point, np.array([1.0, 1e20]))
 
 
 def test_membership_gate():
