@@ -78,11 +78,17 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _parse_state(text: str, entry) -> np.ndarray:
-    """One finite state of the entry's chart, comma separated."""
+    """One finite state of the entry's chart, comma separated, > 0 where the chart is."""
     x = _parse_floats(text)
-    dim = entry.system.chart.dim
-    if x.shape != (dim,) or not np.all(np.isfinite(x)):
-        raise InvalidInput(f"{entry.name} takes {dim} finite coordinates, got {text!r}")
+    chart = entry.system.chart
+    if x.shape != (chart.dim,) or not np.all(np.isfinite(x)):
+        raise InvalidInput(f"{entry.name} takes {chart.dim} finite coordinates, got {text!r}")
+    for i in chart.positive:
+        if not x[i] > 0:
+            raise InvalidInput(
+                f"{entry.name}: coordinate x{i + 1} of the {chart.kind} chart must be > 0, "
+                f"got {text!r}"
+            )
     return x
 
 

@@ -77,6 +77,8 @@ ORBIT_LIMIT = 64  # largest identification group a chart may generate
 # pairs at or below this chart distance are one point of the quotient, so
 # they carry no injectivity evidence
 PAIR_CUTOFF = 1e-9
+# pairs per block of the injectivity margin's distance tables
+PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +88,7 @@ class ChartDescriptor:
     States come in batches: an ``(N, dim)`` array holds one state per row,
     and a single ``(dim,)`` state is the N = 1 case.  ``wraps[i]`` is None
     for an unwrapped coordinate or the period (1 or 2*pi) of an angle.
+    ``positive`` names the unwrapped coordinates that are > 0 on the chart.
     ``identifications`` are chart isometries generating a finite quotient
     group (e.g. the antipodal map); each maps a batch to a batch of the same
     shape, so coordinates are read as ``x[..., i]``.  Distances are
@@ -95,6 +98,7 @@ class ChartDescriptor:
     kind: str
     wraps: tuple
     identifications: tuple = ()
+    positive: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -129,7 +133,7 @@ class ChartDescriptor:
         for parent, y in enumerate(images):
             for k, g in enumerate(self.identifications):
                 z = self._identify(g, y)
-                if any(self._coordinate_distance(z, r)[0] <= 1e-9 for r in images):
+                if any(self._coordinate_distance(z, r)[0] <= PAIR_CUTOFF for r in images):
                     continue
                 if len(images) == ORBIT_LIMIT:
                     raise FlowlinError(
@@ -148,11 +152,11 @@ class ChartDescriptor:
         return reps
 
     def _coordinate_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a and b are wrapped, so each |a - b| on an angle is at most its period
         d = np.abs(np.asarray(a, float) - np.asarray(b, float))
         for i, period in enumerate(self.wraps):
             if period is not None:
-                m = d[..., i] % period
-                d[..., i] = np.minimum(m, period - m)
+                d[..., i] = np.minimum(d[..., i], period - d[..., i])
         return np.sqrt(np.sum(d * d, axis=-1))
 
     def _min_over_orbit(self, a: np.ndarray, reps: list) -> np.ndarray:
@@ -190,18 +194,32 @@ class ChartDescriptor:
         ``images`` holds one row per row of ``states``, whose orbit is taken
         once.  Pairs at chart distance <= PAIR_CUTOFF are skipped.  A NaN
         ratio is kept, so NaN evidence gives a NaN margin, and with no pair
-        left the margin is NaN too: no evidence of injectivity.  Each row's
-        ratios are reduced as they come, so memory stays O(N); time is O(N^2).
+        left the margin is NaN too: no evidence of injectivity.  Rows go in
+        blocks of consecutive rows holding about PAIR_BLOCK pairs i < j: the
+        block's own pairs, then the block against every later row in one
+        broadcast table.  Memory stays O((N + PAIR_BLOCK) * D) for D image
+        columns; time is O(N^2).
         """
         reps = self.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
         Y = np.asarray(images, dtype=float)
-        margin = np.inf
-        for i in range(len(reps[0]) - 1):
-            d_state = self._min_over_orbit(reps[0][i], [rep[i + 1 :] for rep in reps])
-            apart = d_state > PAIR_CUTOFF
-            diff = Y[i] - Y[i + 1 :][apart]
-            # np.minimum and min keep a NaN, unlike Python's min
-            margin = np.minimum(margin, (row_norms(diff) / d_state[apart]).min(initial=np.inf))
+        n = len(reps[0])
+        # starts[i]: how many pairs (i', j), i' < j, have i' < i; rows lo..hi-1 hold
+        # starts[hi] - starts[lo] pairs, at most PAIR_BLOCK unless hi is lo + 1
+        starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
+        margin, lo = np.inf, 0
+        while lo < n - 1:
+            hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + PAIR_BLOCK, "right")) - 1)
+            iu, ju = np.triu_indices(hi - lo, 1)
+            for i, j in ((lo + iu, lo + ju), ((slice(lo, hi), None), slice(hi, None))):
+                d_state = self._min_over_orbit(reps[0][i], [rep[j] for rep in reps])
+                apart = d_state > PAIR_CUTOFF
+                # image differences only where states are apart: a skipped pair may be inf - inf
+                diff = np.zeros(apart.shape + Y.shape[1:])
+                np.subtract(Y[i], Y[j], out=diff, where=apart[..., None])
+                # np.minimum and min keep a NaN, unlike Python's min
+                ratios = row_norms(diff)[apart] / d_state[apart]
+                margin = np.minimum(margin, ratios.min(initial=np.inf))
+            lo = hi
         return float(margin) if margin != np.inf else np.nan
 
 
@@ -216,14 +234,16 @@ def torus_angles(n: int, identifications=()) -> ChartDescriptor:
 
 def polar_annulus() -> ChartDescriptor:
     """(r, theta) with r > 0 unwrapped and theta reduced mod 2*pi."""
-    return ChartDescriptor("polar_annulus", (None, TWO_PI))
+    return ChartDescriptor("polar_annulus", (None, TWO_PI), positive=(0,))
 
 
 def product(*charts: ChartDescriptor) -> ChartDescriptor:
     wraps = tuple(w for c in charts for w in c.wraps)
     if any(c.identifications for c in charts):
         raise InvalidInput("product of identified charts is not supported")
-    return ChartDescriptor("product", wraps)
+    offsets = np.cumsum([0] + [c.dim for c in charts])
+    positive = tuple(int(o) + i for c, o in zip(charts, offsets) for i in c.positive)
+    return ChartDescriptor("product", wraps, positive=positive)
 
 
 def _no_lower_bound(x) -> float:

@@ -1,8 +1,8 @@
 """One chart distance: scalar, one-to-many and all-pairs paths agree bit for bit,
 the distance is a metric on the quotient, quotient orbits are closed over every
 word in the generators, and the one injectivity margin, behind both the EDMD
-lift scan and the embedding quality check, matches the scalar pair loop it
-replaced on every chart."""
+lift scan and the embedding quality check, matches the scalar pair loop and the
+row loop it replaced on every chart, across its block edges."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from flowlin import catalog, edmd
 from flowlin.embed import verify_embedding_quality
 from flowlin.errors import FlowlinError
-from flowlin.flows import torus_angles
+from flowlin.flows import PAIR_BLOCK, PAIR_CUTOFF, polar_annulus, torus_angles
+from flowlin.linalg import row_norms
 
 # Z2 x Z2: two commuting half shifts, so the orbit needs the word g1 g2
 HALF_SHIFTS = torus_angles(
@@ -182,3 +183,117 @@ def test_single_state_margin_is_no_evidence():
     # NaN: the injectivity check (`margin >= floor`) fails on it
     assert np.isnan(report.injectivity_margin)
     assert not report.injectivity_margin >= 1e-6
+
+
+def _row_loop_margin(chart, states, images):
+    """The margin one state at a time, as the chart computed it before its row blocks."""
+    reps = chart.orbit(np.atleast_2d(np.asarray(states, dtype=float)))
+    Y = np.asarray(images, dtype=float)
+    margin = np.inf
+    for i in range(len(reps[0]) - 1):
+        d_state = chart._min_over_orbit(reps[0][i], [rep[i + 1 :] for rep in reps])
+        apart = d_state > PAIR_CUTOFF
+        diff = Y[i] - Y[i + 1 :][apart]
+        margin = np.minimum(margin, (row_norms(diff) / d_state[apart]).min(initial=np.inf))
+    return float(margin) if margin != np.inf else np.nan
+
+
+def _same_margin(a, b):
+    return (np.isnan(a) and np.isnan(b)) or a.hex() == b.hex()
+
+
+def _block_starts(n):
+    """First rows of the margin's blocks: rows are taken while their pairs i < j
+    number at most PAIR_BLOCK, and at least one row."""
+    starts, lo = [], 0
+    while lo < n - 1:
+        starts.append(lo)
+        pairs, hi = n - 1 - lo, lo + 1
+        while hi < n and pairs + (n - 1 - hi) <= PAIR_BLOCK:
+            pairs, hi = pairs + (n - 1 - hi), hi + 1
+        lo = hi
+    return starts
+
+
+def _identified_copy(chart, x):
+    """A state the chart identifies with x: its image under a generator, or x
+    shifted by one period on every angle."""
+    if chart.identifications:
+        return np.asarray(chart.identifications[0](x), float)
+    return x + np.array([0.0 if p is None else p for p in chart.wraps])
+
+
+@pytest.mark.parametrize("size, blocks", [(2, 1), (3, 1), (91, 1), (92, 2), (150, 3)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_injectivity_margin_matches_row_loop_across_block_edges(size, blocks, seed):
+    # 91 states make 4095 pairs, one full block; 92 and 150 take several
+    starts = _block_starts(size)
+    assert len(starts) == blocks
+    rng = np.random.default_rng(seed)
+    for name, (chart, sampler) in CHARTS.items():
+        X = np.asarray(sampler(rng, size), float)
+        # a skipped pair across every block edge, and one from the first row to the last
+        for row in [*starts[1:], size - 1]:
+            X[row] = _identified_copy(chart, X[row - 1 if row in starts else 0])
+        images = rng.normal(size=(size, 4))
+        margin = chart.injectivity_margin(X, images)
+        reference = _row_loop_margin(chart, X, images)
+        assert _same_margin(margin, reference), (name, margin, reference)
+        assert size == 2 or np.isfinite(margin), name
+        images[size // 2] = np.nan
+        margin = chart.injectivity_margin(X, images)
+        assert _same_margin(margin, _row_loop_margin(chart, X, images)), name
+        assert size == 2 or np.isnan(margin), name
+
+
+def _infinite_radius(states, images):
+    states[3, 0] = np.inf
+
+
+def _duplicates_with_infinite_images(states, images):
+    states[5] = states[2]
+    images[[2, 5]] = np.inf
+
+
+def _infinite_image_row(states, images):
+    images[7] = np.inf
+
+
+def _mostly_duplicates(states, images):
+    states[3:] = states[np.arange(3, len(states)) % 3]
+
+
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [(_infinite_radius, 0.0), (_duplicates_with_infinite_images, None),
+     (_infinite_image_row, None), (_mostly_duplicates, None)],
+)
+def test_injectivity_margin_raises_no_floating_point_error(corrupt, expected):
+    # blocks take only pairs i < j, and image differences only of states apart:
+    # a diagonal pair of the infinite state, or a skipped pair of infinite
+    # images, would be inf - inf
+    entry = catalog.get("log_radial")
+    rng = np.random.default_rng(23)
+    states = entry.sample_states(rng, 100)
+    images = rng.normal(size=(100, 5))
+    corrupt(states, images)
+    with np.errstate(all="raise"):
+        margin = entry.system.chart.injectivity_margin(states, images)
+        reference = _row_loop_margin(entry.system.chart, states, images)
+    assert np.isfinite(margin) and margin.hex() == reference.hex()
+    assert expected is None or margin == expected
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [torus_angles(1), polar_annulus(), catalog.get("klein_bottle").system.chart],
+    ids=["circle", "annulus_angle", "klein_bottle"],
+)
+def test_angle_wrapped_to_its_period_is_at_distance_zero(chart):
+    # np.mod(-1e-20, period) rounds to the period itself
+    x = np.ones(chart.dim)
+    x[-1] = -1e-20
+    y = x.copy()
+    y[-1] = 0.0
+    assert chart.distance(x, y) == 0.0

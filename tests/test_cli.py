@@ -427,9 +427,9 @@ ERROR_NAMES = _subclasses(FlowlinError) | {"FloatingPointError"}
 @pytest.mark.parametrize(
     "argv, name",
     [
-        # r = 0 is off the punctured plane: log(0) divides by zero
+        # r = 0 is off the punctured plane, refused before log(0) divides by zero
         (["phase", "--system", "log_radial", "--x", "0,0", "--schedule", "geometric:1,2,12"],
-         "FloatingPointError"),
+         "InvalidInput"),
         # the planar field and its norm overflow on the circle
         (["index", "--system", "sphere_rotation", "--equilibrium", "0,0,1",
           "--radius", "1e308"], "FloatingPointError"),
@@ -446,6 +446,26 @@ def test_input_outside_the_arithmetic_exits_2_naming_the_fault(tmp_path, capsys,
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"flowlin: {name}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, system, text",
+    [
+        (["phase", "--system", "log_radial", "--x=-2,0"], "log_radial", "-2,0"),
+        (["phase", "--system", "annulus_cubic", "--x", "0,0"], "annulus_cubic", "0,0"),
+        (["catalog", "show", "annulus_cubic", "--emit-trajectory", "--x=-1,0"],
+         "annulus_cubic", "-1,0"),
+    ],
+)
+def test_start_off_the_punctured_plane_exits_2(tmp_path, capsys, argv, system, text):
+    # r <= 0 is off the chart's domain; log_radial at r = 0 is a case of the test above
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"flowlin: InvalidInput: {system}: coordinate x1 of the polar_annulus chart "
+        f"must be > 0, got {text!r}\n"
+    )
     assert not out.exists()
 
 

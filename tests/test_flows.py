@@ -47,6 +47,12 @@ def test_product_chart_root_sum_square():
     assert d == pytest.approx(np.hypot(3.0, 0.2))
 
 
+def test_product_chart_keeps_positive_coordinates_at_their_offsets():
+    assert polar_annulus().positive == (0,)
+    chart = product(euclidean(3), polar_annulus(), torus_angles(1), polar_annulus())
+    assert chart.positive == (3, 6)
+
+
 def test_quotient_identification_distance():
     chart = catalog.get("klein_bottle").system.chart
     x = np.array([0.2, 0.3])
