@@ -382,10 +382,10 @@ def _cmd_pinched(args) -> int:
             raise InvalidInput(f"could not load start point: {err}") from err
         if theta0.shape != (spec.n,) or not np.all(np.isfinite(theta0)):
             raise InvalidInput(f"start point needs {spec.n} finite angles, got {theta0.tolist()}")
-        times = np.linspace(0.0, args.tmax, args.steps)
-        orbit = pinched.flow(spec, pinched.make_point(spec, theta0), times)
-        states = pinched.canonical_embedding(spec, orbit)
-        export_trajectory_csv(Trajectory(times, states), args.out)
+        point = pinched.make_point(spec, theta0)
+        traj = sample_trajectory(spec.system, point, np.linspace(0.0, args.tmax, args.steps))
+        states = pinched.canonical_embedding(spec, traj.states)
+        export_trajectory_csv(Trajectory(traj.times, states), args.out)
         return 0
 
     rng = np.random.default_rng(args.seed)

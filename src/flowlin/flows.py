@@ -301,10 +301,24 @@ class Trajectory:
 MAX_TIME = 2.0**52
 
 
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first True entry of ``bad`` and its " (row ...)" label."""
+    row = np.unravel_index(np.argmax(bad), bad.shape)
+    return row, f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
+
+
 def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
-    """Raise IntegrationFailure when some row's time is not finite, whichever
-    twin ``sys`` is, and TimeOutOfDomain when its size exceeds MAX_TIME or
-    it is at or below its bound."""
+    """Raise InvalidInput when some row is <= 0 on a positive coordinate of
+    the chart, IntegrationFailure when some row's time is not finite, and
+    TimeOutOfDomain when its size exceeds MAX_TIME or it is at or below its
+    bound, whichever twin ``sys`` is.  A NaN row is left to the flow."""
+    for i in sys.chart.positive:
+        if (off := x[..., i] <= 0).any():
+            row, where = _first(off)
+            raise InvalidInput(
+                f"{sys.name}: coordinate x{i + 1} of the {sys.chart.kind} chart must be > 0, "
+                f"got {x[..., i][row]:.6g}{where}"
+            )
     bad = ~(np.abs(t) <= MAX_TIME)  # a NaN time fails the comparison too
     beyond = bad.any()
     if beyond and not np.all(np.isfinite(t)):
@@ -314,8 +328,7 @@ def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
         bad = np.isfinite(bound) & (t <= bound)
     if not bad.any():
         return
-    row = np.unravel_index(np.argmax(bad), bad.shape)
-    where = f" (row {row[0] if len(row) == 1 else row})" if bad.ndim else ""
+    row, where = _first(bad)
     t_row = np.broadcast_to(t, bad.shape)[row]
     if not np.isfinite(t_row):
         raise IntegrationFailure(f"end time {t_row} is not finite{where}")
@@ -332,10 +345,11 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
 
     ``x`` is one ``(dim,)`` state or an ``(N, dim)`` batch; ``t`` is a scalar
     or one time per row.  A row with t == 0 comes back as ``wrap(x)``
-    exactly.  Every row's time must be finite, at most MAX_TIME in size and
-    above ``sys.t_min``.  A vector field integrates the whole batch in one
-    call, each row under its own step control, and a row's result is its
-    interpolant at its time.
+    exactly, and a scalar t == 0 checks nothing.  Otherwise every row must
+    be > 0 on the chart's ``positive`` coordinates, with a finite time at
+    most MAX_TIME in size and above ``sys.t_min``.  A vector field integrates
+    the whole batch in one call, each row under its own step control; a
+    row's result is its interpolant.
     """
     x = np.asarray(x, dtype=float)
     # np.ndim costs microseconds on a Python float, the common single-state call

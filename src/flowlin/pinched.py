@@ -3,25 +3,27 @@
 A family is cut out of T^n by an integer homomorphism M: T^n -> T^m, a base
 region S in T^m, and per-factor pinch loci C_j in S over which the j-th circle
 factor collapses.  Only a fiber circle (a zero column of M) may collapse, so
-collapsing it leaves the base point M theta where it is.  The canonical embedding z_j = dist(M theta, C_j) e^{2 pi i theta_j},
-w = torus embedding of M theta, conjugates the kernel-direction translation flow
-to a block-rotation linear flow exactly, because the base point never moves.
+collapsing it leaves the base point M theta where it is.  The canonical
+embedding z_j = dist(M theta, C_j) e^{2 pi i theta_j}, w = torus embedding of
+M theta, conjugates the kernel-direction translation flow to a block-rotation
+linear flow exactly, because the base point never moves.
 
 Base regions and loci are finite unions of closed coordinate-arc products
 with exact rational endpoints, so membership is decidable.
 
-Family points follow the flows batch convention, one point per row, as three
-arrays ``(theta, base, mask)``: ``theta (N, n)`` canonical angles with the
-collapsed coordinates at 0, ``base (N, m)`` = M theta mod 1, computed once and
-carried by the flow, and the collapse ``mask (N, n)``.  A single point is the
-N = 1 case with the leading axis dropped.
+Family points are flow states on ``torus_angles(n + m)``, one row
+``[theta | base]`` per point: the canonical angles theta, with the collapsed
+coordinates at 0, then the base point M theta mod 1.  ``spec.system`` moves
+them by the translation along (omega, 0), which leaves the base columns
+where they are, followed by the collapse.  A single point is the
+``(n + m,)`` case.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,7 +39,6 @@ __all__ = [
     "NotInFamily",
     "kernel_direction",
     "make_point",
-    "flow",
     "canonical_embedding",
     "embedding_generator",
     "verify_family",
@@ -221,8 +222,9 @@ class PinchedTorusSpec:
 
     @cached_property
     def system(self) -> FlowSystem:
-        """The translation along ``omega`` on T^n that the family's angles follow."""
-        return torus_translation("pinched", self.omega)
+        """The flow of family points: translation along (omega, 0), then the collapse."""
+        shift = torus_translation("pinched", np.concatenate([self.omega, np.zeros(self.m)]))
+        return replace(shift, closed_form=lambda t, X: _collapse(self, shift.closed_form(t, X)))
 
 
 def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorusSpec:
@@ -242,56 +244,40 @@ def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorus
 
 
 def make_point(spec: PinchedTorusSpec, theta):
-    """Family points ``(theta, base, mask)`` of raw angles ``theta`` (N, n).
+    """Family points ``[theta | base]`` of raw angles ``theta`` (N, n), as (N, n + m) rows.
 
     Raises NotInFamily, naming the first offending base point, if some
-    M theta mod 1 lies outside the base region.
+    M theta mod 1 lies outside the base region.  A base lies in [0, 1), where
+    ``evolve`` keeps it bit for bit: the second mod maps the 1.0 that a tiny
+    negative M theta rounds to onto 0.0, as the chart's wrap would.
     """
     theta = np.mod(np.asarray(theta, dtype=float), 1.0)
-    base = np.mod(theta @ spec.M.T, 1.0)
+    base = np.mod(np.mod(theta @ spec.M.T, 1.0), 1.0)
     outside = ~spec.base_region.contains(base)
     if np.any(outside):
         raise NotInFamily(f"base point {base[outside][0]} outside the base region")
-    return _over_base(spec, theta, base)
+    return _collapse(spec, np.concatenate([theta, base], axis=-1))
 
 
-def _over_base(spec: PinchedTorusSpec, theta, base):
-    """Family points of angles ``theta`` in [0, 1) whose base points ``base`` lie in S."""
+def _collapse(spec: PinchedTorusSpec, X) -> np.ndarray:
+    """Rows ``[theta | base]`` with theta_j at 0 wherever the base lies in C_j."""
+    base = X[..., spec.n:]
     mask = np.stack([locus.contains(base) for locus in spec.pinch_loci], axis=-1)
-    return np.where(mask, 0.0, theta), base, mask
+    return np.concatenate([np.where(mask, 0.0, X[..., :spec.n]), base], axis=-1)
 
 
-def flow(spec: PinchedTorusSpec, point, t):
-    """Evolve theta under ``spec.system``, one time per row.
-
-    omega lies in the kernel of M, so the base point stays exactly fixed:
-    base and mask are carried, never recomputed from the flowed theta.  A
-    time beyond the flows' time bound raises TimeOutOfDomain.
-    """
-    theta, base, mask = point
-    t = np.asarray(t, dtype=float)
-    lead = np.broadcast_shapes(theta.shape[:-1], t.shape)
-    theta = evolve(spec.system, np.broadcast_to(theta, lead + theta.shape[-1:]), t)
-    return (
-        np.where(mask, 0.0, theta),
-        np.broadcast_to(base, lead + base.shape[-1:]),
-        np.broadcast_to(mask, theta.shape),
-    )
-
-
-def canonical_embedding(spec: PinchedTorusSpec, point) -> np.ndarray:
+def canonical_embedding(spec: PinchedTorusSpec, X) -> np.ndarray:
     """Product-polar-coordinate embedding into R^{2(n+m)} (C^n x C^m), one row per point.
 
-    Reads only theta and base, so a raw (non-canonical) theta with the
-    point's base embeds the representative it names.
-    """
-    theta, base, _ = point
-    ang = TWO_PI * np.concatenate([theta, base], axis=-1)
-    rho = np.ones(ang.shape)
+    ``circle_coords(2 pi X, rho)``, rho_j = dist(base, C_j) on a pinched factor
+    and 1 elsewhere.  Nothing is wrapped or collapsed first: a raw row embeds
+    the representative it names."""
+    X = np.asarray(X, dtype=float)
+    rho = np.ones(X.shape)
     for j, locus in enumerate(spec.pinch_loci):
         if not locus.empty:
-            rho[..., j] = locus.distance(base)
-    return circle_coords(ang, rho)
+            rho[..., j] = locus.distance(X[..., spec.n:])
+    return circle_coords(TWO_PI * X, rho)
 
 
 def embedding_generator(spec: PinchedTorusSpec) -> np.ndarray:
@@ -342,12 +328,11 @@ def verify_family(
     if n_samples < MIN_SAMPLES:
         raise InvalidInput(f"need at least {MIN_SAMPLES} samples")
     points = sample_points(spec, n_samples, rng)
-    theta, base, _ = points
     B = embedding_generator(spec)
 
     times = rng.uniform(-5.0, 5.0, n_samples)
     embeds = canonical_embedding(spec, points)
-    lhs = canonical_embedding(spec, flow(spec, points, times))
+    lhs = canonical_embedding(spec, evolve(spec.system, points, times))
     residual = worst(row_norms(lhs - expm_apply(B, times, embeds)))
 
     # quotient consistency: raw representatives that differ only in collapsed
@@ -364,14 +349,12 @@ def verify_family(
             # trial i sets the collapsed angle to a_i in raw[0] and b_i in raw[1],
             # with (a_i, b_i) the draws of the i-th of ten rng.random(2) calls;
             # that angle never enters M theta, so every trial's base is the
-            # box midpoint, exactly
-            raw = np.tile(theta0, (2, 10, 1))
+            # box midpoint, exactly: it may be 1.0, so no row is wrapped
+            raw = np.tile(np.concatenate([theta0, np.array(mid, dtype=float)]), (2, 10, 1))
             raw[..., locus_index] = rng.random((10, 2)).T
-            at_mid = np.tile(np.array(mid, dtype=float), (10, 1))
-            pa = _over_base(spec, np.mod(raw[0], 1.0), at_mid)
-            ea = canonical_embedding(spec, (raw[0], *pa[1:]))
-            eb = canonical_embedding(spec, (raw[1], *pa[1:]))
-            if not (np.all(ea == eb) and np.all(canonical_embedding(spec, pa) == ea)):
+            trials = np.concatenate([raw, _collapse(spec, raw[:1])])
+            ea, eb, e_canon = canonical_embedding(spec, trials)
+            if not (np.all(ea == eb) and np.all(e_canon == ea)):
                 consistent = False
         if not (locus.empty or tried):
             consistent = False
@@ -381,7 +364,7 @@ def verify_family(
     seps = []
     for k in range(1, 40):
         a, b = slice(None, n_samples - k), slice(k, None)
-        apart = ~(np.all(theta[a] == theta[b], axis=1) & np.all(base[a] == base[b], axis=1))
+        apart = ~np.all(points[a] == points[b], axis=1)
         seps.append(row_norms(embeds[a][apart] - embeds[b][apart]))
     min_sep = least(np.concatenate(seps))
 

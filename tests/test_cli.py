@@ -7,6 +7,7 @@ import pytest
 
 from flowlin import FlowlinError, catalog, cli, embed, linalg, pinched
 from flowlin.cli import main
+from flowlin.embed import EmbeddingCandidate
 
 SINGLE_PINCH = {
     "n": 2,
@@ -80,7 +81,7 @@ def test_verify_nan_embedding_at_one_state_exits_1(tmp_path, monkeypatch):
     bad = entry.sample_states(np.random.default_rng(0), 200)[0]
     F = entry.exact_embedding.F
     patchy = lambda x: np.where(np.all(x == bad, axis=-1)[..., None], np.nan, F(x))
-    embedding = catalog.ExactEmbedding(patchy, entry.exact_embedding.B)
+    embedding = EmbeddingCandidate(patchy, entry.exact_embedding.B)
     monkeypatch.setitem(
         catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)
     )
@@ -101,7 +102,7 @@ def test_verify_flags_a_map_written_for_one_state(tmp_path, monkeypatch):
     bad = entry.sample_states(np.random.default_rng(0), 200)[0]
     F = entry.exact_embedding.F
     patchy = lambda x: np.full(len(F(x)), np.nan) if np.array_equal(x, bad) else F(x)
-    embedding = catalog.ExactEmbedding(patchy, entry.exact_embedding.B)
+    embedding = EmbeddingCandidate(patchy, entry.exact_embedding.B)
     monkeypatch.setitem(
         catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)
     )
@@ -121,7 +122,7 @@ def test_pinched_nan_separation_fails(tmp_path, monkeypatch):
 
     def patchy(spec, point):
         out = canonical(spec, point)
-        return np.where((point[0][..., 0] < 0.05)[..., None], np.nan, out)
+        return np.where((point[..., 0] < 0.05)[..., None], np.nan, out)
 
     monkeypatch.setattr(pinched, "canonical_embedding", patchy)
     spec_path = tmp_path / "single.json"

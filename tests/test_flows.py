@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlin import catalog
+from flowlin import InvalidInput, catalog
+from flowlin.embed import impact_time
 from flowlin.flows import (
     FlowSystem,
     IntegrationFailure,
@@ -21,6 +22,7 @@ from flowlin.flows import (
     torus_angles,
 )
 from flowlin.integrate import _rk_step
+from flowlin.phase import GeometricSchedule, estimate_phase
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,6 +91,29 @@ def test_annulus_backward_domain_enforced():
     with pytest.raises(TimeOutOfDomain):
         evolve(sys, [2.0, 0.0], -0.6)
     evolve(sys, [2.0, 0.0], -0.4)  # still inside the domain
+
+
+@pytest.mark.parametrize("r", [-2.0, 0.0])
+def test_start_off_the_punctured_plane_is_refused(r):
+    # the polar annulus chart keeps r > 0; a NaN row is left to the flow
+    off = rf"coordinate x1 of the polar_annulus chart must be > 0, got {r:g}"
+    for name in ("annulus_cubic", "log_radial"):
+        entry = catalog.get(name)
+        for sys in (entry.system, entry.ode_system):
+            with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off}$"):
+                evolve(sys, [r, 0.0], 1.0)
+            with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off} \(row 1\)$"):
+                evolve(sys, [[1.5, 0.0], [r, 0.0]], 1.0)
+            with pytest.raises(InvalidInput, match=off):
+                sample_trajectory(sys, [r, 0.0], [0.0, 0.5, 1.0])
+        assert np.isnan(evolve(entry.system, [np.nan, 0.0], 1.0)).all()
+    annulus = catalog.get("annulus_cubic")
+    with pytest.raises(InvalidInput, match=off):
+        estimate_phase(annulus.system, annulus.attractor, [r, 0.0], GeometricSchedule(1, 2, 8))
+    log_radial = catalog.get("log_radial")
+    with pytest.raises(InvalidInput, match=off):
+        with np.errstate(invalid="ignore", divide="ignore"):  # V's own log of r
+            impact_time(log_radial.system, log_radial.lyapunov.V, 1.0, [r, 0.0])
 
 
 def test_log_radial_radial_decay_oracle():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flowlin import pinched
 from flowlin.cli import main
-from flowlin.flows import TimeOutOfDomain, torus_angles
+from flowlin.flows import TimeOutOfDomain, evolve, sample_trajectory, torus_angles
 from flowlin.linalg import matrix_exp
 from flowlin.pinched import (
     LINEARITY_TOL,
@@ -16,7 +16,6 @@ from flowlin.pinched import (
     NotInFamily,
     canonical_embedding,
     embedding_generator,
-    flow,
     kernel_direction,
     make_point,
     make_spec,
@@ -43,6 +42,11 @@ def two_pinch_spec():
 
 def plain_torus_spec():
     return make_spec(n=2, m=1, M=[[0, 1]], base_boxes=FULL_CIRCLE, loci_boxes=[[], []])
+
+
+def _collapsed(spec, points):
+    """Which angles of each row ``[theta | base]`` lie over their pinch locus."""
+    return np.stack([locus.contains(points[:, spec.n:]) for locus in spec.pinch_loci], axis=-1)
 
 
 # --- kernel directions ------------------------------------------------------------
@@ -96,7 +100,7 @@ def test_kernel_has_a_prime_per_vector():
 def test_pinch_point_embedding_collapses_fiber():
     spec = single_pinch_spec()
     p = make_point(spec, [0.25, 0.0])
-    np.testing.assert_array_equal(p[2], [True, False])  # the collapse mask
+    np.testing.assert_array_equal(p, [0.0, 0.0, 0.0])  # theta_1 collapsed over base 0
     emb = canonical_embedding(spec, p)
     np.testing.assert_array_equal(emb[:2], [0.0, 0.0])  # z_1 = 0 at the pinch
     np.testing.assert_allclose(emb[4:], [1.0, 0.0])  # w = 1
@@ -118,9 +122,8 @@ def test_regular_fiber_embedding_value():
 def test_flow_identity_and_period():
     spec = single_pinch_spec()
     p = make_point(spec, [0.0, 0.5])
-    theta, _, _ = flow(spec, p, 0.0)
-    np.testing.assert_array_equal(theta, p[0])
-    moved, _, _ = flow(spec, p, 1.0 / np.sqrt(2.0))
+    np.testing.assert_array_equal(evolve(spec.system, p, 0.0), p)
+    moved = evolve(spec.system, p, 1.0 / np.sqrt(2.0))
     d = abs(moved[0] - 0.0)
     assert min(d, 1.0 - d) <= 1e-15
     assert moved[1] == 0.5
@@ -131,7 +134,7 @@ def test_collapsed_point_is_flow_fixed():
     p = make_point(spec, [0.3, 0.0])
     for t in (0.1, 1.7, 12.0):
         np.testing.assert_array_equal(
-            canonical_embedding(spec, flow(spec, p, t)), canonical_embedding(spec, p)
+            canonical_embedding(spec, evolve(spec.system, p, t)), canonical_embedding(spec, p)
         )
 
 
@@ -143,14 +146,15 @@ def test_embedding_linearity_exact():
     for _ in range(100):
         p = make_point(spec, rng.random(2))
         t = float(rng.uniform(-5.0, 5.0))
-        lhs = canonical_embedding(spec, flow(spec, p, t))
+        lhs = canonical_embedding(spec, evolve(spec.system, p, t))
         rhs = matrix_exp(B, t) @ canonical_embedding(spec, p)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     assert worst <= 1e-12
 
 
-def _embedding_reference(spec, theta, base):
+def _embedding_reference(spec, point):
     """Reference: the canonical embedding of one point, one factor at a time."""
+    theta, base = point[:spec.n], point[spec.n:]
     out = []
     for j in range(spec.n):
         locus = spec.pinch_loci[j]
@@ -170,31 +174,42 @@ def test_embedding_and_flow_batch_match_each_row(make):
     theta[10:20, 1] = 0.5
     points = make_point(spec, theta)
     times = rng.uniform(-5.0, 5.0, 60)
-    moved = flow(spec, points, times)
+    moved = evolve(spec.system, points, times)
     embeds, moved_embeds = canonical_embedding(spec, points), canonical_embedding(spec, moved)
     for i in range(60):
         row = make_point(spec, theta[i])
-        for got, want in zip(row, points):
-            np.testing.assert_array_equal(got, want[i])
+        np.testing.assert_array_equal(row, points[i])
         np.testing.assert_array_equal(canonical_embedding(spec, row), embeds[i])
-        np.testing.assert_array_equal(embeds[i], _embedding_reference(spec, *row[:2]))
-        row_moved = flow(spec, row, times[i])
-        for got, want in zip(row_moved, moved):
-            np.testing.assert_array_equal(got, want[i])
+        np.testing.assert_array_equal(embeds[i], _embedding_reference(spec, row))
+        row_moved = evolve(spec.system, row, times[i])
+        np.testing.assert_array_equal(row_moved, moved[i])
         np.testing.assert_array_equal(canonical_embedding(spec, row_moved), moved_embeds[i])
 
 
-def test_flow_carries_base_and_mask():
+def test_flow_keeps_base_and_collapsed_zeros():
     spec = two_pinch_spec()
-    theta, base, mask = make_point(spec, [[0.3, 0.0], [0.3, 0.5], [0.3, 0.25]])
-    moved_theta, moved_base, moved_mask = flow(spec, (theta, base, mask), [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(moved_base, base)
-    np.testing.assert_array_equal(moved_mask, [[True, False], [True, False], [False, False]])
-    np.testing.assert_array_equal(moved_theta[:2, 0], [0.0, 0.0])
-    # one start flowed along many times: base and mask broadcast to the orbit
-    orbit = flow(spec, make_point(spec, [0.3, 0.25]), np.linspace(0.0, 1.0, 7))
-    assert [a.shape for a in orbit] == [(7, 2), (7, 1), (7, 2)]
-    assert canonical_embedding(spec, orbit).shape == (7, 6)
+    points = make_point(spec, [[0.3, 0.0], [0.3, 0.5], [0.3, 0.25]])
+    moved = evolve(spec.system, points, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(moved[:, 2], points[:, 2])  # the base column
+    # theta_1 is collapsed over the bases 0 and 1/2 only, theta_2 never
+    np.testing.assert_array_equal(
+        _collapsed(spec, moved), [[True, False], [True, False], [False, False]]
+    )
+    np.testing.assert_array_equal(moved[:2, 0], [0.0, 0.0])
+    assert moved[2, 0] != 0.0
+    # one start flowed along many times: one row per time
+    orbit = sample_trajectory(spec.system, make_point(spec, [0.3, 0.25]), np.linspace(0.0, 1.0, 7))
+    assert orbit.states.shape == (7, 3)
+    assert canonical_embedding(spec, orbit.states).shape == (7, 6)
+
+
+def test_base_that_rounds_up_to_one_is_zero():
+    # M theta = 0.3 - nextafter(0.3, 1) is a tiny negative number, and mod 1
+    # rounds it to 1.0; the point's base is 0.0, which a flow keeps
+    spec = make_spec(n=2, m=1, M=[[1, -1]], base_boxes=FULL_CIRCLE, loci_boxes=[[], []])
+    p = make_point(spec, [0.3, np.nextafter(0.3, 1.0)])
+    assert p[2] == 0.0
+    assert evolve(spec.system, p, 1.0)[2] == 0.0
 
 
 # --- family verification --------------------------------------------------------------
@@ -223,7 +238,9 @@ def test_plain_torus_reduces_to_standard_embedding():
               np.cos(ang2), np.sin(ang2)], atol=1e-15,
     )
     points = sample_points(spec, 1000, np.random.default_rng(53))
-    margin = torus_angles(spec.n).injectivity_margin(points[0], canonical_embedding(spec, points))
+    margin = torus_angles(spec.n).injectivity_margin(
+        points[:, :spec.n], canonical_embedding(spec, points)
+    )
     assert margin > 0.1
 
 
@@ -262,6 +279,25 @@ def pinched_specs(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(spec=pinched_specs(), seed=st.integers(0, 2**32 - 1), t=st.floats(1e-3, 1e3))
+def test_family_points_are_flow_states(spec, seed, t):
+    rng = np.random.default_rng(seed)
+    points = sample_points(spec, 30, rng)
+    collapsed = _collapsed(spec, points)
+    for times in (t, -t, rng.uniform(-t, t, len(points))):
+        moved = evolve(spec.system, points, times)
+        # the base columns bit for bit, the collapsed angles at exactly +0.0
+        assert moved[:, spec.n:].tobytes() == points[:, spec.n:].tobytes()
+        theta = moved[:, :spec.n]
+        assert np.all(theta[collapsed] == 0.0) and not np.signbit(theta[collapsed]).any()
+    # a sampled trajectory is one evolve per grid time
+    grid = -t + np.cumsum(rng.uniform(0.0, t, 8) + 1e-3)
+    traj = sample_trajectory(spec.system, points[0], grid)
+    for k, time in enumerate(grid):
+        np.testing.assert_array_equal(traj.states[k], evolve(spec.system, points[0], time))
+
+
+@settings(max_examples=40, deadline=None)
 @given(spec=pinched_specs(), seed=st.integers(0, 2**32 - 1))
 def test_generated_families_are_exactly_linear_and_quotient_consistent(spec, seed):
     rng = np.random.default_rng(seed)
@@ -270,11 +306,12 @@ def test_generated_families_are_exactly_linear_and_quotient_consistent(spec, see
     assert report.quotient_consistent
     # every collapsed coordinate, set to any raw angle, embeds the same point
     points = sample_points(spec, 100, rng)
-    theta, base, mask = points
-    raw = np.where(mask, rng.random(theta.shape), theta)
-    np.testing.assert_array_equal(
-        canonical_embedding(spec, (raw, base, mask)), canonical_embedding(spec, points)
+    collapsed = _collapsed(spec, points)
+    raw = np.concatenate(
+        [np.where(collapsed, rng.random(collapsed.shape), points[:, :spec.n]), points[:, spec.n:]],
+        axis=1,
     )
+    np.testing.assert_array_equal(canonical_embedding(spec, raw), canonical_embedding(spec, points))
 
 
 def test_fiber_solve_that_leaves_the_base_region_is_skipped():
@@ -289,9 +326,8 @@ def test_fiber_solve_that_leaves_the_base_region_is_skipped():
     assert report.quotient_consistent and report.passed
 
 
-def test_quotient_trials_compare_rows(monkeypatch):
-    # the same spec with an embedding that leaks the collapsed angle: its
-    # trials sit on the exact locus midpoint, so they are compared, and fail
+def _leaky_family_report(monkeypatch, leak):
+    """verify_family on the spec above, its embedding shifted by 1e-3 * leak(rows)."""
     spec = make_spec(
         n=3, m=2, M=[[1, -1, 0], [-2, -1, 0]], base_boxes=[[("1/8", "1"), ("0", "1/4")]],
         loci_boxes=[[], [], [[("1", "1"), ("0", "1/16")]]],
@@ -299,9 +335,22 @@ def test_quotient_trials_compare_rows(monkeypatch):
     canonical = pinched.canonical_embedding
     monkeypatch.setattr(
         pinched, "canonical_embedding",
-        lambda spec, point: canonical(spec, point) + 1e-3 * point[0][..., 2:3],
+        lambda spec, point: canonical(spec, point) + 1e-3 * leak(point),
     )
-    report = verify_family(spec, n_samples=100, rng=np.random.default_rng(0))
+    return verify_family(spec, n_samples=100, rng=np.random.default_rng(0))
+
+
+def test_quotient_trials_compare_rows(monkeypatch):
+    # the same spec with an embedding that leaks the collapsed angle: its
+    # trials sit on the exact locus midpoint, so they are compared, and fail
+    report = _leaky_family_report(monkeypatch, lambda point: point[..., 2:3])
+    assert not report.quotient_consistent and not report.passed
+
+
+def test_quotient_trials_compare_the_canonical_row(monkeypatch):
+    # an embedding that tells a collapsed angle at 0 from any other: the raw
+    # trials agree with each other but not with their canonical row
+    report = _leaky_family_report(monkeypatch, lambda point: point[..., 2:3] == 0.0)
     assert not report.quotient_consistent and not report.passed
 
 
@@ -310,7 +359,7 @@ def test_flow_beyond_the_time_bound_raises_naming_the_row():
     point = make_point(spec, [0.25, 0.5])
     bound = r"pinched: \|t\| = 1e\+20 beyond time bound 2\*\*52 \(row 1\)"
     with pytest.raises(TimeOutOfDomain, match=bound):
-        flow(spec, point, np.array([1.0, 1e20]))
+        evolve(spec.system, np.stack([point, point]), np.array([1.0, 1e20]))
 
 
 def test_membership_gate():
