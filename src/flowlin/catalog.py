@@ -342,8 +342,7 @@ def _annulus_t_min(x):
 
 
 def _annulus_field(x):
-    r = x[..., 0]
-    return join_coords(-batch_pow(r - 1.0, 3), r)
+    return -batch_pow(x[0] - 1.0, 3), x[0]
 
 
 def _circle_attractor(name: str) -> AttractorModel:
@@ -429,9 +428,8 @@ def _log_radial_closed(t, x):
 
 
 def _log_radial_field(x):
-    r = x[..., 0]
-    v = np.log(r)
-    return join_coords(-r * v, 1.0 + v)
+    v = np.log(x[0])
+    return -x[0] * v, 1.0 + v
 
 
 def _log_radial_phase(x):
@@ -531,7 +529,7 @@ def _saddle_entry() -> CatalogEntry:
     ode = FlowSystem(
         name="saddle_plane_ode",
         chart=chart,
-        vector_field=lambda x: join_coords(x[..., 0], -x[..., 1]),
+        vector_field=lambda x: (x[0], -x[1]),
     )
     eq = EquilibriumInfo(
         (0.0, 0.0), -1, lambda p: np.column_stack([p[:, 0], -p[:, 1]])

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import FlowSystem, evolve
+from .flows import FlowSystem, _check_domain, evolve
 from .linalg import block_diag, expm_apply, generator, least, row_norms, worst
 from .phase import AttractorModel, verify_phase_properties
 
@@ -208,6 +208,7 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
     """
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, x.shape[-1])
+    _check_domain(sys, x, 0.0)  # before V sees an off-domain start
     v0 = np.asarray(V(X), dtype=float)
     on = v0 <= ATTRACTOR_TOL
     if on.any():

@@ -7,11 +7,11 @@ domain once, after each full evolve call.
 
 States come in batches: an ``(N, dim)`` array holds one state per row and a
 single ``(dim,)`` state is the N = 1 case.  State functions (closed forms,
-vector fields, ``t_min``, charts' identifications) read coordinates as
-``x[..., i]`` and assemble states with ``join_coords``; a closed form takes
-``t`` as a scalar or as an array broadcasting against ``x.shape[:-1]``, one
-time per row.  The integrator takes a whole batch of vector-field states in
-one loop, each row under its own step control.
+``t_min``, charts' identifications) read coordinates as ``x[..., i]`` and
+assemble states with ``join_coords``; a closed form takes ``t`` as a scalar
+or as an array broadcasting against ``x.shape[:-1]``, one time per row.  A
+vector field maps coordinates to derivatives, and the integrator takes a
+whole batch of its states in one loop, each row under its own step control.
 """
 
 from __future__ import annotations
@@ -254,8 +254,9 @@ def _no_lower_bound(x) -> float:
 class FlowSystem:
     """A flow on a chart-described state space.
 
-    Exactly one of ``closed_form`` (map (t, x) -> x') and ``vector_field``
-    (map x -> dx/dt, row by row on a batch) must be given.  ``t_min`` bounds the domain of
+    Exactly one of ``closed_form`` (map (t, x) -> x') and ``vector_field`` (map coordinates
+    to dx/dt, one entry per coordinate: floats for one state, the ``(N,)`` rows of a
+    ``(dim, N)`` array for a batch) must be given.  ``t_min`` bounds the domain of
     definition per state for flows that are only forward-complete.
     """
 
@@ -344,10 +345,10 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
     """Flow each state forward (or backward) by its time, wrapped to the chart.
 
     ``x`` is one ``(dim,)`` state or an ``(N, dim)`` batch; ``t`` is a scalar
-    or one time per row.  A row with t == 0 comes back as ``wrap(x)``
-    exactly, and a scalar t == 0 checks nothing.  Otherwise every row must
-    be > 0 on the chart's ``positive`` coordinates, with a finite time at
-    most MAX_TIME in size and above ``sys.t_min``.  A vector field integrates
+    or one time per row.  Every row must be > 0 on the chart's ``positive``
+    coordinates, at t == 0 too, with a finite time at most MAX_TIME in size
+    and above ``sys.t_min``; a row with t == 0 then comes back as ``wrap(x)``
+    exactly.  A vector field integrates
     the whole batch in one call, each row under its own step control; a
     row's result is its interpolant.
     """
@@ -356,9 +357,9 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
     per_row = not isinstance(t, float) and np.ndim(t) > 0
     if per_row:
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-    elif t == 0.0:
-        return sys.chart.wrap(x)
     _check_domain(sys, x, t)
+    if not per_row and t == 0.0:
+        return sys.chart.wrap(x)
     if sys.closed_form is not None:
         # extreme times may legitimately saturate to inf; callers gate on it
         with np.errstate(over="ignore", invalid="ignore"):

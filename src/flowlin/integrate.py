@@ -13,13 +13,13 @@ the pair's standard quartic interpolant, whose error tracks the step error (a
 cubic Hermite interpolant is one order short of the 1e-8 grid-agreement
 contract at ABS_TOL and REL_TOL).
 
-The loop works coordinate by coordinate: one state's coordinates are Python
-floats, a batch's the (N,) rows of one (dim, N) array.  Each stage sum, the
-error estimate and the interpolant add the tableau's nonzero terms in one
-fixed order, the error norm is ``sqrt(sum of q_c^2) / sqrt(dim)``, and the
-step factor's power is the C library's pow (Python's ``**``, or ``batch_pow``,
-as numpy's array power rounds differently).  IEEE ``+ - * /`` and square
-root are correctly rounded, so a batch row repeats its solo run bit for bit.
+The loop and the vector field work coordinate by coordinate: one state's
+coordinates are Python floats, a batch's the (N,) rows of one (dim, N) array.
+Each stage sum, the error estimate and the interpolant add the tableau's
+nonzero terms in one fixed order, the error norm is ``sqrt(sum of q_c^2) /
+sqrt(dim)``, and a power is the C library's pow (``pow``, ``batch_pow``).
+IEEE ``+ - * /``, square root and numpy's ufunc loops round alike in both
+forms, so a batch row repeats its solo run bit for bit.
 """
 
 from __future__ import annotations
@@ -32,26 +32,12 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import FlowlinError
+from .errors import FlowlinError, InvalidInput
 
 
 class IntegrationFailure(FlowlinError):
     """Non-finite end time, step size underflow or an exhausted step budget."""
 
-
-# Dormand & Prince (1980) tableau: the nonzero (stage, weight) terms of stages 1 to 6
-_A = (
-    ((0, 1 / 5),),
-    ((0, 3 / 40), (1, 9 / 40)),
-    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
-    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
-    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176), (4, -5103 / 18656)),
-    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
-)
-# the fifth-order weights are stage 6's with a zero for the last stage, so the last
-# stage is evaluated at the step's result; the error weights subtract _B4
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple((j, dict(_A[-1]).get(j, 0.0) - b) for j, b in enumerate(_B4) if b)
 
 # Shampine's quartic interpolant for the pair: x(t0 + s h) = x0 + h sum_j w_j(s) K_j with
 # w_j(s) = p1 s + p2 s^2 + p3 s^3 + p4 s^4, rows (j, p1, p2, p3, p4); w_1 = 0
@@ -185,14 +171,25 @@ class DenseOutput:
 
 
 def _rk_step(f, x, h, k0):
-    """One step from the coordinates ``x`` with ``k0 = f(x)``: the new coordinates, error
-    estimates and stages.  ``f`` maps coordinates to the derivative's."""
-    k = [k0]
-    for terms in _A:
-        x_new = _combine(x, h, terms, k)
-        k.append(f(x_new))
-    # 0 + e is e up to the sign of a zero, which the error norm squares away
-    return x_new, _combine([0.0] * len(x), h, _ERR, k), k
+    """One Dormand & Prince (1980) step from coordinates ``x`` with ``k0 = f(x)``: the new
+    coordinates, error estimates and seven stages, each sum's terms added in stage order."""
+    k1 = f([y + h * (1 / 5 * s0) for y, s0 in zip(x, k0)])
+    k2 = f([y + h * (3 / 40 * s0 + 9 / 40 * s1) for y, s0, s1 in zip(x, k0, k1)])
+    k3 = f([y + h * (44 / 45 * s0 - 56 / 15 * s1 + 32 / 9 * s2)
+            for y, s0, s1, s2 in zip(x, k0, k1, k2)])
+    k4 = f([y + h * (19372 / 6561 * s0 - 25360 / 2187 * s1 + 64448 / 6561 * s2 - 212 / 729 * s3)
+            for y, s0, s1, s2, s3 in zip(x, k0, k1, k2, k3)])
+    k5 = f([y + h * (9017 / 3168 * s0 - 355 / 33 * s1 + 46732 / 5247 * s2 + 49 / 176 * s3
+                     - 5103 / 18656 * s4) for y, s0, s1, s2, s3, s4 in zip(x, k0, k1, k2, k3, k4)])
+    x_new = [y + h * (35 / 384 * s0 + 500 / 1113 * s2 + 125 / 192 * s3 - 2187 / 6784 * s4
+                      + 11 / 84 * s5) for y, s0, s2, s3, s4, s5 in zip(x, k0, k2, k3, k4, k5)]
+    k6 = f(x_new)
+    # fifth- minus fourth-order weights, each difference rounded as a float
+    err = [h * ((35 / 384 - 5179 / 57600) * s0 + (500 / 1113 - 7571 / 16695) * s2
+                + (125 / 192 - 393 / 640) * s3 + (-2187 / 6784 + 92097 / 339200) * s4
+                + (11 / 84 - 187 / 2100) * s5 - 1 / 40 * s6)
+           for s0, s2, s3, s4, s5, s6 in zip(k0, k2, k3, k4, k5, k6)]
+    return x_new, err, [k0, k1, k2, k3, k4, k5, k6]
 
 
 def _first_bad(bad, t, rows):
@@ -205,21 +202,21 @@ def integrate(f, x0, t0: float, t1) -> DenseOutput:
     """Integrate dx/dt = f(x) from t0 to t1; returns a dense interpolant.
 
     ``x0`` is one ``(dim,)`` state or a batch whose last axis holds the
-    coordinates, and ``f`` maps a batch of states to a batch of derivatives.
-    ``t1`` is a scalar or one finite end time per row (``flows.evolve``
-    checks), in either direction of time.  Raises IntegrationFailure, naming
-    the first failing row of a batch, on step-size underflow or when a row
-    exceeds MAX_STEPS.
+    coordinates; ``f`` maps one state's floats, or a batch's ``(dim, N)``
+    columns, to one derivative per coordinate (else InvalidInput).  ``t1`` is
+    a scalar or one finite end time per row (``flows.evolve`` checks).
+    Raises IntegrationFailure, naming the first failing row of a batch, on
+    step-size underflow or when a row exceeds MAX_STEPS.
     """
     x0 = np.asarray(x0, dtype=float)
     shape, dim = x0.shape[:-1], x0.shape[-1]
     if shape:
         ops, x, t1 = _Columns, [x0.reshape(-1, dim).T], np.full(shape, t1, dtype=float).ravel()
         rows, t, steps = np.arange(len(t1)), np.full(len(t1), float(t0)), np.zeros(len(t1), int)
-        field = lambda x: [f(x[0].T).T]  # noqa: E731
+        field = lambda x: [np.array(f(x[0]), dtype=float)]  # noqa: E731
     else:
         ops, x, t1, rows, t, steps = _Floats, x0.tolist(), float(t1), 0, float(t0), 0
-        field = lambda x: f(np.array(x)).tolist()  # noqa: E731
+        field = lambda x: list(map(float, f(x)))  # noqa: E731
 
     def rms(y):  # sqrt(sum of the squared coordinates) / sqrt(dim), added in their order
         return ops.sqrt(ops.total(reduce(operator.add, [v * v for v in y]))) / math.sqrt(dim)
@@ -236,6 +233,9 @@ def integrate(f, x0, t0: float, t1) -> DenseOutput:
             )
         if not record:  # the initial step, from the scaled sizes of x and f(x)
             k0 = field(x)
+            got, want = (k0[0].shape, x[0].shape) if shape else ((len(k0),), (dim,))
+            if got != want:  # zip would drop coordinates; checked on the first call only
+                raise InvalidInput(f"vector field returned shape {got} for coordinates {want}")
             scale = [ABS_TOL + REL_TOL * abs(c) for c in x]
             d0, d1 = (rms([v / s for v, s in zip(y, scale)]) for y in (x, k0))
             h = ops.pick((d0 > 1e-5) & (d1 > 1e-5), 0.01 * d0 / ops.maximum(d1, 1e-5), 1e-6)

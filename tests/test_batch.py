@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlin import catalog, edmd, embed
+from flowlin import InvalidInput, catalog, edmd, embed
 from flowlin.embed import BracketFailure, OnAttractor, impact_time
 from flowlin.flows import MAX_TIME, FlowSystem, TimeOutOfDomain, euclidean, evolve
 from flowlin.integrate import IntegrationFailure, integrate
@@ -252,7 +252,7 @@ def test_lockstep_ode_snapshots_match_pair_by_pair_loop():
 
 # --- vector fields and the batched integrator --------------------------------------
 
-# the single-state vector fields the batch forms replaced, as a reference
+# the vector fields written on one (2,) state array, as a reference
 SINGLE_STATE_FIELDS = {
     "annulus_cubic": lambda x: np.array([-((x[0] - 1.0) ** 3), x[0]]),
     "log_radial": lambda x: np.array([-x[0] * np.log(x[0]), 1.0 + np.log(x[0])]),
@@ -267,18 +267,43 @@ def _mixed_times(sys, X, rng):
     return np.where(t == 0.0, 0.0, np.maximum(t, sys.t_min(X) + 0.25))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
 @pytest.mark.parametrize("name", ODE_TWINS)
 def test_batch_field_matches_single_state_field(name):
     field = catalog.get(name).ode_system.vector_field
     rng = np.random.default_rng(19)
-    # catalog samples plus states far off them, where r - 1 is large
+    # catalog samples, states far off them, where r - 1 is large, and edge states:
+    # r = 1e150 (annulus: -inf in both forms), r = 1 exactly and theta = -0.0
     X = np.concatenate([
         catalog.get(name).sample_states(rng, 300), rng.uniform(0.01, 50.0, (300, 2)),
+        [[1e150, 0.5], [1.0, 2.0], [0.7, -0.0]],
     ])
-    reference = np.array([SINGLE_STATE_FIELDS[name](x) for x in X])
-    np.testing.assert_array_equal(field(X), reference)
-    for x, ref in zip(X[::37], reference[::37]):
-        np.testing.assert_array_equal(field(x), ref)
+    with np.errstate(over="ignore"):
+        reference = np.array([SINGLE_STATE_FIELDS[name](x) for x in X])
+        # a batch's coordinates are the rows of one (dim, N) array, one state's are floats
+        batch = np.array(field(np.ascontiguousarray(X.T)))
+        single = [list(map(float, field(x))) for x in X.tolist()]
+    np.testing.assert_array_equal(_bits(batch.T), _bits(reference))
+    np.testing.assert_array_equal(_bits(single), _bits(reference))
+
+
+@pytest.mark.parametrize("name", ODE_TWINS)
+def test_field_returning_the_wrong_coordinate_count_is_refused(name):
+    field = catalog.get(name).ode_system.vector_field
+    X = catalog.get(name).sample_states(np.random.default_rng(25), 3)
+    short, long = (lambda x: field(x)[:1]), (lambda x: (*field(x), x[0]))
+    for f, n in ((short, 1), (long, 3)):
+        with pytest.raises(InvalidInput, match=rf"^vector field returned shape \({n},\) "
+                                               r"for coordinates \(2,\)$"):
+            integrate(f, X[0], 0.0, 1.0)
+        with pytest.raises(InvalidInput, match=rf"^vector field returned shape \({n}, 3\) "
+                                               r"for coordinates \(2, 3\)$"):
+            integrate(f, X, 0.0, 1.0)
+    with pytest.raises(InvalidInput, match="vector field returned"):
+        evolve(FlowSystem("short", catalog.get(name).ode_system.chart, vector_field=short), X, 1.0)
 
 
 @pytest.mark.parametrize("name", ODE_TWINS)
@@ -340,7 +365,7 @@ def test_ode_rows_repeat_their_solo_runs_bit_for_bit(name, seed, reach, cuts, fr
 
 def _blowup():
     # dx/dt = x^2 leaves every bound at t = 1 / x0
-    return FlowSystem("blowup", euclidean(1), vector_field=lambda x: x * x)
+    return FlowSystem("blowup", euclidean(1), vector_field=lambda x: (x[0] * x[0],))
 
 
 def test_blowup_row_raises_naming_its_row():

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,17 +94,19 @@ def test_annulus_backward_domain_enforced():
     evolve(sys, [2.0, 0.0], -0.4)  # still inside the domain
 
 
+@pytest.mark.filterwarnings("error")  # as under python -W error: no log of r runs first
 @pytest.mark.parametrize("r", [-2.0, 0.0])
 def test_start_off_the_punctured_plane_is_refused(r):
-    # the polar annulus chart keeps r > 0; a NaN row is left to the flow
+    # the polar annulus chart keeps r > 0, at t = 0 too; a NaN row is left to the flow
     off = rf"coordinate x1 of the polar_annulus chart must be > 0, got {r:g}"
     for name in ("annulus_cubic", "log_radial"):
         entry = catalog.get(name)
         for sys in (entry.system, entry.ode_system):
-            with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off}$"):
-                evolve(sys, [r, 0.0], 1.0)
-            with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off} \(row 1\)$"):
-                evolve(sys, [[1.5, 0.0], [r, 0.0]], 1.0)
+            for t in (1.0, 0.0):
+                with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off}$"):
+                    evolve(sys, [r, 0.0], t)
+                with pytest.raises(InvalidInput, match=rf"^{sys.name}: {off} \(row 1\)$"):
+                    evolve(sys, [[1.5, 0.0], [r, 0.0]], t)
             with pytest.raises(InvalidInput, match=off):
                 sample_trajectory(sys, [r, 0.0], [0.0, 0.5, 1.0])
         assert np.isnan(evolve(entry.system, [np.nan, 0.0], 1.0)).all()
@@ -111,9 +114,10 @@ def test_start_off_the_punctured_plane_is_refused(r):
     with pytest.raises(InvalidInput, match=off):
         estimate_phase(annulus.system, annulus.attractor, [r, 0.0], GeometricSchedule(1, 2, 8))
     log_radial = catalog.get("log_radial")
-    with pytest.raises(InvalidInput, match=off):
-        with np.errstate(invalid="ignore", divide="ignore"):  # V's own log of r
-            impact_time(log_radial.system, log_radial.lyapunov.V, 1.0, [r, 0.0])
+    with pytest.raises(InvalidInput, match=rf"^log_radial: {off}$"):
+        impact_time(log_radial.system, log_radial.lyapunov.V, 0.5, [r, 0.0])
+    with pytest.raises(InvalidInput, match=rf"^log_radial: {off} \(row 0\)$"):
+        impact_time(log_radial.system, log_radial.lyapunov.V, 0.5, [[r, 0.0]])
 
 
 def test_log_radial_radial_decay_oracle():
@@ -337,7 +341,7 @@ def test_rk_step_halving_reduces_error_by_the_order():
     exact = evolve(entry.system, x0, 5.0)
 
     def coords_field(x):  # the field on a coordinate list, as integrate steps one state
-        return f(np.array(x)).tolist()
+        return list(map(float, f(x)))
 
     def max_err(h):
         x = x0.tolist()
@@ -348,8 +352,74 @@ def test_rk_step_halving_reduces_error_by_the_order():
     assert max_err(0.1) / max_err(0.05) >= 32.0
 
 
+# Dormand & Prince (1980) from exact fractions: the nonzero (stage, weight) terms of
+# stages 1 to 6, the last row being the fifth-order weights, and the fourth-order weights
+_DP_A = (
+    ((0, Fraction(1, 5)),),
+    ((0, Fraction(3, 40)), (1, Fraction(9, 40))),
+    ((0, Fraction(44, 45)), (1, Fraction(-56, 15)), (2, Fraction(32, 9))),
+    ((0, Fraction(19372, 6561)), (1, Fraction(-25360, 2187)), (2, Fraction(64448, 6561)),
+     (3, Fraction(-212, 729))),
+    ((0, Fraction(9017, 3168)), (1, Fraction(-355, 33)), (2, Fraction(46732, 5247)),
+     (3, Fraction(49, 176)), (4, Fraction(-5103, 18656))),
+    ((0, Fraction(35, 384)), (2, Fraction(500, 1113)), (3, Fraction(125, 192)),
+     (4, Fraction(-2187, 6784)), (5, Fraction(11, 84))),
+)
+_DP_B4 = (Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+          Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40))
+
+
+def _tableau_step(f, x, h, k0):
+    """The reference step: one tableau row at a time, each coordinate's terms added in
+    order; the error weights are differences of the rounded weights, as the step takes."""
+    rows = [[(j, float(w)) for j, w in terms] for terms in _DP_A]
+    fifth = dict(rows[-1])
+    err_terms = [(j, fifth.get(j, 0.0) - float(b)) for j, b in enumerate(_DP_B4) if b]
+
+    def combine(x, terms, k):
+        out = []
+        for c, xc in enumerate(x):
+            (j0, w0), *rest = terms
+            acc = w0 * k[j0][c]
+            for j, w in rest:
+                acc = acc + w * k[j][c]
+            out.append(xc + h * acc)
+        return out
+
+    k = [k0]
+    for terms in rows:
+        x_new = combine(x, terms, k)
+        k.append(f(x_new))
+    return x_new, combine([0.0] * len(x), err_terms, k), k
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", ["annulus_cubic", "log_radial", "saddle_plane"])
+def test_rk_step_matches_the_tableau_bit_for_bit(name):
+    entry = catalog.get(name)
+    f = entry.ode_system.vector_field
+    rng = np.random.default_rng(26)
+
+    def same_step(field, x, h):
+        k0 = field(x)
+        x_new, err, k = _rk_step(field, x, h, k0)
+        ref_x, ref_err, ref_k = _tableau_step(field, x, h, k0)
+        np.testing.assert_array_equal(_bits(x_new), _bits(ref_x))
+        # the reference adds its error to 0.0, which only drops the sign of a zero
+        np.testing.assert_array_equal(_bits(np.add(err, 0.0)), _bits(ref_err))
+        np.testing.assert_array_equal(_bits(k), _bits(ref_k))
+
+    for x, h in zip(entry.sample_states(rng, 200).tolist(), rng.uniform(-0.5, 0.5, 200).tolist()):
+        same_step(lambda x: list(map(float, f(x))), x, h)
+    X = np.ascontiguousarray(entry.sample_states(rng, 50).T)
+    same_step(lambda x: [np.array(f(x[0]))], [X], rng.uniform(-0.5, 0.5, 50))
+
+
 def test_integration_failure_on_blowup():
-    sys = FlowSystem(name="blowup", chart=euclidean(1), vector_field=lambda x: x * x)
+    sys = FlowSystem(name="blowup", chart=euclidean(1), vector_field=lambda x: (x[0] * x[0],))
     with pytest.raises(IntegrationFailure):
         evolve(sys, [1.0], 2.0)  # finite-time blowup at t = 1
 
