@@ -42,7 +42,6 @@ __all__ = [
     "UnknownEntry",
     "names",
     "get",
-    "standard_grid",
     "STANDARD_TIMES",
 ]
 
@@ -52,7 +51,8 @@ class UnknownEntry(FlowlinError):
 
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
-STANDARD_TIMES = (0.0, 0.1, 1.0, float(np.pi), 10.0)
+# the default verification times; a t = 0 copy of a state is the state itself
+STANDARD_TIMES = (0.1, 1.0, float(np.pi), 10.0)
 _CLOUD_SEED = 77003
 
 
@@ -570,8 +570,3 @@ def get(name: str) -> CatalogEntry:
     if name not in _CACHE:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]
-
-
-def standard_grid(entry: CatalogEntry, rng):
-    """The default verification grid: 20 states drawn from ``rng`` x STANDARD_TIMES."""
-    return entry.sample_states(rng, 20), list(STANDARD_TIMES)

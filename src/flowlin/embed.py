@@ -11,9 +11,10 @@ Everything here works on state batches (see ``flows``): the maps a builder
 takes read ``x[..., i]``, a built F maps ``(..., dim)`` to ``(..., k)`` with
 one batched impact-time solve per call, and each verification passes all of
 its states to F in one call.  ``verify_embedding_quality``, the evidence
-behind a report, joins the grid states and their flowed copies, the sampled
-states and their finite-difference probes and the escape states, and adds
-one single-state call to see that F honours the convention.
+behind a report, takes one state array: the states and their flowed copies,
+the finite-difference probes of its quality rows and the escape states go
+through F together, and one single-state call sees that F honours the
+convention.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ def impact_time(sys: FlowSystem, V: Callable, c: float, x) -> float | np.ndarray
     included).
     """
     x = np.asarray(x, dtype=float)
-    X = x.reshape(-1, x.shape[-1])
     _check_domain(sys, x, 0.0)  # before V sees an off-domain start
+    X = x.reshape(-1, x.shape[-1])
     v0 = np.asarray(V(X), dtype=float)
     on = v0 <= ATTRACTOR_TOL
     if on.any():
@@ -297,10 +298,10 @@ def build_topological_embedding(
 ) -> EmbeddingCandidate:
     """Assemble the basin embedding from phase, attractor embedding, and level data.
 
-    ``F0`` is an ``EmbeddingCandidate`` of the attractor.  The on-attractor
-    branch absorbs states with V at or below ATTRACTOR_TOL; the neglected
-    decay block is then at most sqrt(ATTRACTOR_TOL / level), which must stay
-    inside the residual budget.
+    ``F0`` is an ``EmbeddingCandidate`` of the attractor; every state's first
+    block is F0(P(x)).  States with V at or below ATTRACTOR_TOL get a zero
+    decay block, so a state flowed across that switch reads a residual of at
+    most sqrt(ATTRACTOR_TOL / level), which must stay inside the budget.
     """
     _check_phase_map(sys, attractor, P, validation_states)
     res0 = verify_linearization(
@@ -331,13 +332,11 @@ def build_topological_embedding(
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, x.shape[-1])
         out = np.zeros((len(X), k0 + n1))
+        out[:, :k0] = F0_map(P(X))
         on = np.asarray(V(X), float) <= ATTRACTOR_TOL
-        if on.any():
-            out[on, :k0] = F0_map(X[on])
         if not on.all():
             Xb = X[~on]
             tau = impact_time(sys, V, c, Xb)
-            out[~on, :k0] = F0_map(P(Xb))
             out[~on, k0:] = np.exp(tau)[:, None] * np.asarray(F1(evolve(sys, Xb, tau)), float)
         return out.reshape(x.shape[:-1] + (k0 + n1,))
 
@@ -472,26 +471,19 @@ def overlap_identity_residual(
     return worst(row_norms(diff))
 
 
-def _grid_batch(sys: FlowSystem, grid) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's states followed by their copies flowed by each time, and the times.
-
-    Empty when the grid has no state or no time.
-    """
-    states, times = grid
-    X = np.asarray(states, dtype=float)
-    times = np.asarray(times, dtype=float)
+def _flowed(sys: FlowSystem, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The states ``X`` flowed by each time, time-major; empty without a state or a time."""
     if not len(X) or not len(times):
-        return X[:0], times
-    flowed = evolve(sys, np.tile(X, (len(times), 1)), np.repeat(times, len(X)))
-    return np.concatenate([X, flowed]), times
+        return X[:0]
+    return evolve(sys, np.tile(X, (len(times), 1)), np.repeat(times, len(X)))
 
 
-def _grid_residual(B: np.ndarray, times: np.ndarray, images: np.ndarray) -> float:
-    """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of a ``_grid_batch``; NaN if empty."""
-    if not len(images):
+def _residual(B: np.ndarray, times: np.ndarray, images: np.ndarray, flowed: np.ndarray) -> float:
+    """Max of ||F(Phi^t(x)) - e^{Bt} F(x)|| from the images of states and of their
+    ``_flowed`` copies; NaN when there are none."""
+    if not len(flowed):
         return np.nan
-    images = images.reshape(len(times) + 1, -1, images.shape[-1])
-    diff = images[1:] - expm_apply(B, times[:, None], images[0])
+    diff = flowed.reshape(len(times), *images.shape) - expm_apply(B, times[:, None], images)
     return worst(row_norms(diff))
 
 
@@ -501,9 +493,10 @@ def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> flo
     The states and every flowed copy of them go through one call of F.  NaN
     when the grid has no state or no time: no evidence.
     """
-    batch, times = _grid_batch(sys, grid)
-    images = np.asarray(cand.F(batch), dtype=float) if len(batch) else batch
-    return _grid_residual(cand.B, times, images)
+    X, times = np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float)
+    flowed = _flowed(sys, X, times)
+    images = np.asarray(cand.F(np.concatenate([X, flowed])), float) if len(flowed) else flowed
+    return _residual(cand.B, times, images[: len(X)], images[len(X) :])
 
 
 @dataclass(frozen=True)
@@ -534,47 +527,45 @@ def _rank_correlation(a, b) -> float:
 def verify_embedding_quality(
     cand: EmbeddingCandidate,
     sys: FlowSystem,
-    grid,
     states: np.ndarray,
+    times: Sequence[float],
     escape: tuple | None = None,
+    quality_rows: int | None = None,
 ) -> QualityReport:
     """The evidence behind a report: residual, injectivity, immersion, batch agreement, properness.
 
-    The linearization residual is ``verify_linearization``'s on ``grid``.
-    The injectivity margin is ``sys.chart.injectivity_margin`` of ``states``
-    and their images: quotient-identified pairs are skipped, and a NaN image
-    or a single state (no evidence) gives NaN.  The smallest singular value
-    comes from a central-difference Jacobian with step FD_STEP at every
-    state, and is NaN with no state.  ``escape`` is ``(states, values)``
-    along an escape path, or None; with at least 4 states it gives the
-    properness probe, never a certificate.  The grid states and their
-    flowed copies, ``states`` and their Jacobian probes and the escape
-    states go through one call of F; the first state goes through F once
-    more alone, and the distance of that image from its batch row is the
-    batch disagreement, so a map written for one state that reads its
-    whole argument shows up instead of silently misreading a batch.
+    Every state is flowed by every time for the linearization residual, as
+    in ``verify_linearization``; the first ``quality_rows`` states (all when
+    None) carry the rest.  Their injectivity margin is the chart's margin of
+    the states and their images: quotient-identified pairs are skipped, and
+    a NaN image or a single state (no evidence) gives NaN.  Their smallest
+    singular value comes from a central-difference Jacobian with step
+    FD_STEP at every state, and is NaN with no state.  ``escape`` is
+    ``(states, values)`` along an escape path, or None; with at least 4
+    states it gives the properness probe, never a certificate.  The states,
+    their flowed copies, the Jacobian probes and the escape states go
+    through one call of F; the first state goes through F once more alone,
+    and the distance of that image from its batch row is the batch
+    disagreement, so a map written for one state that reads its whole
+    argument shows up instead of silently misreading a batch.
     """
-    states = np.asarray(states, dtype=float)
-    n, dim = len(states), states.shape[-1]
-    grid_batch, times = _grid_batch(sys, grid)
-    esc = states[:0]
+    X, times = np.asarray(states, dtype=float), np.asarray(times, dtype=float)
+    Q, dim = X[:quality_rows], X.shape[-1]
+    esc = X[:0]
     if escape is not None and len(escape[0]) >= 4:
         esc = np.asarray(escape[0], dtype=float)
-    parts = [np.reshape(p, (-1, dim)) for p in (grid_batch, states, _fd_probes(states), esc)]
+    parts = [X, _flowed(sys, X, times), _fd_probes(Q).reshape(-1, dim), esc]
     out = np.asarray(cand.F(np.concatenate(parts)), dtype=float)
-    grid_images, images, probe_images, esc_images = np.split(
-        out, np.cumsum([len(p) for p in parts[:-1]])
-    )
+    images, flowed, probed, escaped = np.split(out, np.cumsum([len(p) for p in parts[:-1]]))
     disagreement = np.nan  # no state, no evidence
-    if n:
-        diff = images[0] - np.asarray(cand.F(states[0]), dtype=float)
-        disagreement = float(row_norms(diff))
-    probe_images = probe_images.reshape(n, 2 * dim, out.shape[-1])
-    sigmas = np.linalg.svd(_fd_difference(probe_images), compute_uv=False)[..., -1]
+    if len(Q):
+        disagreement = float(row_norms(images[0] - np.asarray(cand.F(Q[0]), float)))
+    probed = probed.reshape(len(Q), 2 * dim, out.shape[-1])
+    sigmas = np.linalg.svd(_fd_difference(probed), compute_uv=False)[..., -1]
 
     properness = {"available": False}
     if len(esc):
-        norms = row_norms(esc_images).tolist()
+        norms = row_norms(escaped).tolist()
         rho = _rank_correlation(escape[1], norms)
         growth = norms[-1] / max(norms[0], 1e-300)
         properness = {
@@ -585,8 +576,8 @@ def verify_embedding_quality(
         }
 
     return QualityReport(
-        linearization_residual=_grid_residual(cand.B, times, grid_images),
-        injectivity_margin=sys.chart.injectivity_margin(states, images),
+        linearization_residual=_residual(cand.B, times, images, flowed),
+        injectivity_margin=sys.chart.injectivity_margin(Q, images[: len(Q)]),
         min_jacobian_sigma=least(sigmas),
         batch_disagreement=disagreement,
         properness=properness,

@@ -309,10 +309,13 @@ def _first(bad: np.ndarray) -> tuple[tuple, str]:
 
 
 def _check_domain(sys: FlowSystem, x: np.ndarray, t) -> None:
-    """Raise InvalidInput when some row is <= 0 on a positive coordinate of
-    the chart, IntegrationFailure when some row's time is not finite, and
-    TimeOutOfDomain when its size exceeds MAX_TIME or it is at or below its
-    bound, whichever twin ``sys`` is.  A NaN row is left to the flow."""
+    """Raise InvalidInput when a state has not ``chart.dim`` coordinates or a
+    row is <= 0 on a positive coordinate, IntegrationFailure when a row's time
+    is not finite, and TimeOutOfDomain when its size exceeds MAX_TIME or it is
+    at or below its bound, whichever twin ``sys`` is.  NaN rows go to the flow."""
+    if x.shape[-1:] != (sys.chart.dim,):
+        raise InvalidInput(f"{sys.name}: a state of the {sys.chart.kind} chart has "
+                           f"{sys.chart.dim} coordinates, got shape {x.shape}")
     for i in sys.chart.positive:
         if (off := x[..., i] <= 0).any():
             row, where = _first(off)

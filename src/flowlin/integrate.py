@@ -192,6 +192,15 @@ def _rk_step(f, x, h, k0):
     return x_new, err, [k0, k1, k2, k3, k4, k5, k6]
 
 
+def _columns(derivatives, n: int) -> np.ndarray:
+    """A batch field's derivatives as one (dim, n) array; a constant coordinate,
+    looked for only once np.array finds the rows ragged, fills its row."""
+    try:
+        return np.array(derivatives, dtype=float)
+    except ValueError:
+        return np.array([d if np.ndim(d) else np.full(n, d) for d in derivatives], dtype=float)
+
+
 def _first_bad(bad, t, rows):
     """The time at the first bad row and ' (row i)' naming it; no row for one state."""
     i = np.argmax(bad) if isinstance(bad, np.ndarray) else None
@@ -203,7 +212,8 @@ def integrate(f, x0, t0: float, t1) -> DenseOutput:
 
     ``x0`` is one ``(dim,)`` state or a batch whose last axis holds the
     coordinates; ``f`` maps one state's floats, or a batch's ``(dim, N)``
-    columns, to one derivative per coordinate (else InvalidInput).  ``t1`` is
+    columns, to one derivative per coordinate (else InvalidInput), on a
+    batch an ``(N,)`` row or, next to such rows, a constant.  ``t1`` is
     a scalar or one finite end time per row (``flows.evolve`` checks).
     Raises IntegrationFailure, naming the first failing row of a batch, on
     step-size underflow or when a row exceeds MAX_STEPS.
@@ -213,7 +223,7 @@ def integrate(f, x0, t0: float, t1) -> DenseOutput:
     if shape:
         ops, x, t1 = _Columns, [x0.reshape(-1, dim).T], np.full(shape, t1, dtype=float).ravel()
         rows, t, steps = np.arange(len(t1)), np.full(len(t1), float(t0)), np.zeros(len(t1), int)
-        field = lambda x: [np.array(f(x[0]), dtype=float)]  # noqa: E731
+        field = lambda x: [_columns(f(x[0]), x[0].shape[-1])]  # noqa: E731
     else:
         ops, x, t1, rows, t, steps = _Floats, x0.tolist(), float(t1), 0, float(t0), 0
         field = lambda x: list(map(float, f(x)))  # noqa: E731

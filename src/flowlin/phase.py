@@ -62,7 +62,9 @@ class AttractorModel:
 
         Uses the exact projector when present; otherwise each row's best cloud
         point refined by a quadratic fit along the restricted flow, with one
-        evolve for all 3N fit points and one for the N results.
+        evolve for all 3N fit points and one for the N results.  The fit
+        refines along the flow only, so on an attractor of dimension above 1
+        the cloud search is only as good as the cloud's spacing.
         """
         if self.exact_projector is not None:
             return self.restricted_flow.chart.wrap(np.asarray(self.exact_projector(x), float))

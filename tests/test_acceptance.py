@@ -120,9 +120,8 @@ def test_criterion_4_constructive_builders():
                 entry.system, entry.attractor, entry.exact_phase,
                 entry.attractor_embedding, entry.lyapunov, validation,
             )
-            grid = (entry.sample_states(rng, 20), [0.0, 0.1, 1.0, float(np.pi), 10.0])
             quality = verify_embedding_quality(
-                cand, entry.system, grid, entry.sample_states(rng, 1000)
+                cand, entry.system, entry.sample_states(rng, 1000), catalog.STANDARD_TIMES
             )
             residual = quality.linearization_residual
             assert residual <= 1e-6, f"{name}: residual {residual}"

@@ -88,8 +88,9 @@ def test_built_embedding_batch_matches_each_row(built, key):
 def _verify_batch(entry) -> np.ndarray:
     """States, their flowed copies and their Jacobian probes, as one evidence pass joins them."""
     states = entry.sample_states(np.random.default_rng(17), 20)
-    batch, _ = embed._grid_batch(entry.system, (states, [0.0, 0.1, 1.0, 10.0]))
-    return np.concatenate([batch, embed._fd_probes(states).reshape(-1, states.shape[-1])])
+    flowed = embed._flowed(entry.system, states, [0.0, 0.1, 1.0, 10.0])
+    probes = embed._fd_probes(states).reshape(-1, states.shape[-1])
+    return np.concatenate([states, flowed, probes])
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,10 +113,10 @@ def test_quality_flags_a_map_that_reads_the_whole_batch():
     X = entry.sample_states(np.random.default_rng(16), 20)
     # written for one state: on a batch the norm runs over every row
     whole = embed.EmbeddingCandidate(lambda x: F(x) * np.linalg.norm(x), B)
-    report = embed.verify_embedding_quality(whole, entry.system, (X, ()), X)
+    report = embed.verify_embedding_quality(whole, entry.system, X, ())
     # so the batch_agreement check of `verify` and `build` fails
     assert report.batch_disagreement > embed.BATCH_TOL
-    report = embed.verify_embedding_quality(entry.exact_embedding, entry.system, (X, ()), X)
+    report = embed.verify_embedding_quality(entry.exact_embedding, entry.system, X, ())
     assert report.batch_disagreement == 0.0
 
 
@@ -361,6 +362,21 @@ def test_ode_rows_repeat_their_solo_runs_bit_for_bit(name, seed, reach, cuts, fr
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(batch[i], solo[row])
             np.testing.assert_array_equal(states[i], solo_dense[row](frac * t[row]))
+
+
+@pytest.mark.parametrize(
+    "field", [lambda x: (1.0, -x[1]), lambda x: (x[1], 0.5)], ids=["first", "second"]
+)
+def test_field_with_a_constant_coordinate_integrates_a_batch(field):
+    # a constant coordinate fills its row; each row still repeats its solo run
+    sys = FlowSystem("constant", euclidean(2), vector_field=field)
+    X = np.array([[0.0, 1.0], [0.5, -2.0], [3.0, 0.25]])
+    t = np.array([1.0, 2.5, -0.75])
+    batch = evolve(sys, X, t)
+    dense = integrate(field, X[:1], 0.0, 1.0)(0.5)
+    for i in range(len(X)):
+        np.testing.assert_array_equal(batch[i], evolve(sys, X[i], float(t[i])))
+    np.testing.assert_array_equal(dense[0], integrate(field, X[0], 0.0, 1.0)(0.5))
 
 
 def _blowup():

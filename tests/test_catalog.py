@@ -44,7 +44,7 @@ def test_all_exact_embeddings_linearize():
     bounds = {"sphere_rotation": 1e-12, "klein_bottle": 1e-9, "projective_plane": 1e-9}
     for name in EMBEDDED:
         entry = catalog.get(name)
-        grid = catalog.standard_grid(entry, np.random.default_rng(0))
+        grid = (entry.sample_states(np.random.default_rng(0), 20), catalog.STANDARD_TIMES)
         residual = verify_linearization(entry.exact_embedding, entry.system, grid)
         assert residual <= bounds.get(name, 1e-8), f"{name}: {residual}"
 

@@ -148,9 +148,7 @@ def test_lift_injectivity_margin_matches_scalar_pair_loop(system, dict_kind):
     if dict_kind == "embed":
         states = entry.sample_states(rng, 120)
         images = np.array([entry.exact_embedding.F(x) for x in states])
-        quality = verify_embedding_quality(
-            entry.exact_embedding, entry.system, (states, ()), states
-        )
+        quality = verify_embedding_quality(entry.exact_embedding, entry.system, states, ())
         margin = quality.injectivity_margin
     else:
         if dict_kind == "fourier:3":
@@ -179,7 +177,7 @@ def test_nan_image_row_gives_nan_margin():
 def test_single_state_margin_is_no_evidence():
     entry = catalog.get("klein_bottle")
     states = entry.sample_states(np.random.default_rng(13), 1)
-    report = verify_embedding_quality(entry.exact_embedding, entry.system, (states, ()), states)
+    report = verify_embedding_quality(entry.exact_embedding, entry.system, states, ())
     # NaN: the injectivity check (`margin >= floor`) fails on it
     assert np.isnan(report.injectivity_margin)
     assert not report.injectivity_margin >= 1e-6

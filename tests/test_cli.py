@@ -178,6 +178,32 @@ def test_build_topological_and_smooth(tmp_path):
     assert smooth["overlap_identity_residual"] <= 1e-7
 
 
+@pytest.mark.parametrize("command", [["verify", "--embedding", "built"], ["build"]])
+@pytest.mark.parametrize("name, rows", [("log_radial", 1817), ("product_attractor", 2617)])
+def test_evidence_pass_sends_each_state_through_F_once(tmp_path, monkeypatch, command, name, rows):
+    # 200 states, their copies at 4 times, the Jacobian probes of the states
+    # and 16 escape states in one call, then the first state alone
+    calls = []
+    build = cli.build_topological_embedding
+
+    def recording_build(*args, **kwargs):
+        cand = build(*args, **kwargs)
+
+        def F(x):
+            calls.append(np.array(x, dtype=float))
+            return cand.F(x)
+
+        return EmbeddingCandidate(F, cand.B)
+
+    monkeypatch.setattr(cli, "build_topological_embedding", recording_build)
+    out = tmp_path / "report.json"
+    assert run([command[0], "--system", name, *command[1:], "--out", str(out)]) == 0
+    batch, single = calls
+    assert len(batch) + 1 == rows
+    assert len(np.unique(batch, axis=0)) == len(batch)
+    np.testing.assert_array_equal(single, batch[0])
+
+
 def test_phase_command(tmp_path):
     out = tmp_path / "phase.json"
     assert run(["phase", "--system", "log_radial", "--x", "2.0,0.3",

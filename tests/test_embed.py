@@ -201,7 +201,7 @@ def test_built_topological_log_radial(log_radial, validation_states):
         log_radial.system, log_radial.attractor, log_radial.exact_phase,
         log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
     )
-    grid = catalog.standard_grid(log_radial, np.random.default_rng(0))
+    grid = (log_radial.sample_states(np.random.default_rng(0), 20), catalog.STANDARD_TIMES)
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-6
 
 
@@ -216,6 +216,22 @@ def test_built_embedding_vanishes_on_attractor(log_radial, validation_states):
     np.testing.assert_array_equal(cand.F(a)[2:], np.zeros(4))
 
 
+def test_state_flowed_onto_the_attractor_stays_within_the_switch_bound(
+    log_radial, validation_states
+):
+    cand = build_topological_embedding(
+        log_radial.system, log_radial.attractor, log_radial.exact_phase,
+        log_radial.attractor_embedding, log_radial.lyapunov, validation_states,
+    )
+    # V = (ln r)^2 starts just above ATTRACTOR_TOL and ends at or below it
+    x = np.array([[np.exp(1.05e-7), 0.3]])
+    V = log_radial.lyapunov.V
+    assert V(x)[0] > embed.ATTRACTOR_TOL >= V(evolve(log_radial.system, x, 0.05))[0]
+    # both sides embed the phase F0(P(x)); only the decay block switches off
+    residual = verify_linearization(cand, log_radial.system, (x, [0.05]))
+    assert residual <= np.sqrt(embed.ATTRACTOR_TOL / log_radial.lyapunov.level)
+
+
 def test_built_topological_product_attractor():
     entry = catalog.get("product_attractor")
     states = entry.sample_states(np.random.default_rng(1), 40)
@@ -223,7 +239,7 @@ def test_built_topological_product_attractor():
         entry.system, entry.attractor, entry.exact_phase,
         entry.attractor_embedding, entry.lyapunov, states,
     )
-    grid = catalog.standard_grid(entry, np.random.default_rng(0))
+    grid = (entry.sample_states(np.random.default_rng(0), 20), catalog.STANDARD_TIMES)
     assert verify_linearization(cand, entry.system, grid) <= 1e-8
 
 
@@ -246,7 +262,7 @@ def test_built_smooth_log_radial(log_radial, validation_states):
         log_radial.attractor_embedding, log_radial.transverse,
         log_radial.lyapunov.V, 1.0, validation_states,
     )
-    grid = catalog.standard_grid(log_radial, np.random.default_rng(0))
+    grid = (log_radial.sample_states(np.random.default_rng(0), 20), catalog.STANDARD_TIMES)
     assert verify_linearization(cand, log_radial.system, grid) <= 1e-8
 
 
@@ -368,7 +384,7 @@ def test_quality_exact_log_radial(log_radial):
     cand = log_radial.exact_embedding
     states = log_radial.sample_states(np.random.default_rng(5), 300)
     report = verify_embedding_quality(
-        cand, log_radial.system, (states, [0.1, 1.0]), states, log_radial.escape_states(16)
+        cand, log_radial.system, states, [0.1, 1.0], log_radial.escape_states(16)
     )
     assert report.linearization_residual == verify_linearization(
         cand, log_radial.system, (states, [0.1, 1.0])
@@ -382,7 +398,7 @@ def test_quality_exact_log_radial(log_radial):
 def test_quality_flags_constant_map(log_radial):
     cand = EmbeddingCandidate(lambda x: np.zeros(np.shape(x)[:-1] + (3,)), np.zeros((3, 3)))
     states = log_radial.sample_states(np.random.default_rng(6), 50)
-    report = verify_embedding_quality(cand, log_radial.system, (states, ()), states)
+    report = verify_embedding_quality(cand, log_radial.system, states, ())
     assert report.injectivity_margin == 0.0
     # both fail the floor of `flowlin verify` (1e-6) and so that of `build` (1e-3)
     assert not report.injectivity_margin >= 1e-6
@@ -392,7 +408,7 @@ def test_quality_flags_constant_map(log_radial):
 def test_quality_without_states_is_no_evidence(log_radial):
     cand = log_radial.exact_embedding
     states = log_radial.sample_states(np.random.default_rng(8), 10)
-    report = verify_embedding_quality(cand, log_radial.system, (states, [0.1]), states[:0])
+    report = verify_embedding_quality(cand, log_radial.system, states, [0.1], quality_rows=0)
     assert np.isnan(report.min_jacobian_sigma)
     assert np.isnan(report.injectivity_margin) and np.isnan(report.batch_disagreement)
 
@@ -401,7 +417,7 @@ def test_quality_klein_quotient():
     entry = catalog.get("klein_bottle")
     cand = entry.exact_embedding
     states = entry.sample_states(np.random.default_rng(7), 300)
-    report = verify_embedding_quality(cand, entry.system, (states, ()), states)
+    report = verify_embedding_quality(cand, entry.system, states, ())
     # identified pairs are excluded by the quotient chart distance, so the
     # margin stays bounded away from zero and the map is an immersion
     assert report.injectivity_margin > 0.05

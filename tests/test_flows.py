@@ -73,6 +73,27 @@ def test_time_zero_is_identity_bitwise():
         np.testing.assert_array_equal(evolve(entry.system, x, 0.0), entry.system.chart.wrap(x))
 
 
+@pytest.mark.parametrize("state", [[1.0, 0.0, 5.0], [1.0]])
+def test_state_with_the_wrong_number_of_coordinates_is_refused(state):
+    # a closed form would read x[..., 0] and x[..., 1] and drop or lose the rest
+    log_radial, torus = catalog.get("log_radial"), catalog.get("quasiperiodic_torus_2")
+    for sys in (log_radial.system, log_radial.ode_system, torus.system):
+        wrong = rf"^{sys.name}: a state of the {sys.chart.kind} chart has 2 coordinates"
+        for t in (0.5, 0.0):
+            with pytest.raises(InvalidInput, match=rf"{wrong}, got shape \({len(state)},\)$"):
+                evolve(sys, state, t)
+            with pytest.raises(InvalidInput, match=rf"{wrong}, got shape \(2, {len(state)}\)$"):
+                evolve(sys, [state, state], t)
+        with pytest.raises(InvalidInput, match=wrong):
+            sample_trajectory(sys, state, [0.0, 0.5, 1.0])
+    V = log_radial.lyapunov.V
+    for x in (state, [state]):
+        with pytest.raises(InvalidInput, match="^log_radial: a state of the polar_annulus"):
+            impact_time(log_radial.system, V, 0.5, x)
+    with pytest.raises(InvalidInput, match="2 coordinates"):
+        estimate_phase(log_radial.system, log_radial.attractor, state, GeometricSchedule(1, 2, 8))
+
+
 def test_annulus_closed_form_value():
     sys = catalog.get("annulus_cubic").system
     out = evolve(sys, [2.0, 0.0], 4.0)

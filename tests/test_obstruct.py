@@ -176,5 +176,5 @@ def test_certified_system_passes_standard_embedding_residual():
     # soundness at desk scale: the granted certificate implies the standard
     # angle-to-circles embedding linearizes within 1e-8
     entry = catalog.get("quasiperiodic_torus_2")
-    grid = catalog.standard_grid(entry, np.random.default_rng(0))
+    grid = (entry.sample_states(np.random.default_rng(0), 20), catalog.STANDARD_TIMES)
     assert verify_linearization(entry.exact_embedding, entry.system, grid) <= 1e-8

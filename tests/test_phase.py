@@ -152,6 +152,27 @@ def _cloud_model(entry):
     return AttractorModel(entry.attractor.cloud, entry.attractor.restricted_flow)
 
 
+@pytest.mark.parametrize(
+    "name, max_gap, median_gap",
+    # on a circle the parabola along the flow finds the exact nearest point;
+    # on product_attractor's 2-sphere it refines only along the flow, so the
+    # error stays at the cloud's spacing (nearest-neighbour gaps up to 0.29)
+    [("annulus_cubic", (0.0, 1e-13), (0.0, 1e-13)),
+     ("log_radial", (0.0, 1e-13), (0.0, 1e-13)),
+     ("product_attractor", (0.2, 0.4), (0.03, 0.1))],
+)
+def test_cloud_search_against_the_exact_projector(name, max_gap, median_gap):
+    entry = catalog.get(name)
+    chart = entry.attractor.restricted_flow.chart
+    X = entry.sample_states(np.random.default_rng(0), 200)
+    cloud, exact = _cloud_model(entry).nearest_point(X), entry.attractor.nearest_point(X)
+    gap = chart.distances(cloud, exact)
+    assert max_gap[0] <= gap.max() <= max_gap[1]
+    assert median_gap[0] <= np.median(gap) <= median_gap[1]
+    # the exact projection is never the farther of the two from the state
+    assert (chart.distances(X, exact) <= chart.distances(X, cloud)).all()
+
+
 @pytest.mark.parametrize("name", ["annulus_cubic", "log_radial"])
 def test_batched_nearest_point_matches_single_state_search(name):
     entry = catalog.get(name)
