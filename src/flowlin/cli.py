@@ -14,12 +14,14 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
-from . import __version__, catalog, edmd, obstruct, phase, pinched
+from . import __version__, catalog, edmd, flows, obstruct, phase, pinched
 from .embed import (
     BATCH_TOL,
+    PROPERNESS_RHO,
     EmbeddingCandidate,
     build_smooth_embedding,
     build_topological_embedding,
@@ -78,18 +80,24 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _parse_state(text: str, entry) -> np.ndarray:
-    """One finite state of the entry's chart, comma separated, > 0 where the chart is."""
+    """One finite state, comma separated, on the domain of the entry's flow."""
     x = _parse_floats(text)
-    chart = entry.system.chart
-    if x.shape != (chart.dim,) or not np.all(np.isfinite(x)):
-        raise InvalidInput(f"{entry.name} takes {chart.dim} finite coordinates, got {text!r}")
-    for i in chart.positive:
-        if not x[i] > 0:
-            raise InvalidInput(
-                f"{entry.name}: coordinate x{i + 1} of the {chart.kind} chart must be > 0, "
-                f"got {text!r}"
-            )
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput(f"{entry.name} takes {entry.system.chart.dim} finite coordinates, "
+                           f"got {text!r}")
+    flows._check_domain(entry.system, x, 0.0)
     return x
+
+
+def _emit_trajectory(args, system, x0, embed=None) -> int:
+    """Write the trajectory of ``x0`` as CSV to ``--out``, states mapped by ``embed`` if given."""
+    if not args.out:
+        raise InvalidInput("--emit-trajectory requires --out")
+    traj = sample_trajectory(system, x0, np.linspace(0.0, args.tmax, args.steps))
+    if embed is not None:
+        traj = Trajectory(traj.times, embed(traj.states))
+    export_trajectory_csv(traj, args.out)
+    return 0
 
 
 # --- catalog ------------------------------------------------------------------
@@ -97,16 +105,8 @@ def _parse_state(text: str, entry) -> np.ndarray:
 
 def _cmd_catalog(args) -> int:
     if args.catalog_command == "list":
-        rows = []
-        for name in catalog.names():
-            entry = catalog.get(name)
-            rows.append(
-                {
-                    "name": name,
-                    "verdict": entry.expected_verdict.kind,
-                    "reason": entry.expected_verdict.reason,
-                }
-            )
+        verdicts = [(name, catalog.get(name).expected_verdict) for name in catalog.names()]
+        rows = [{"name": n, "verdict": v.kind, "reason": v.reason} for n, v in verdicts]
         _dump_json(rows, args.out)
         return 0
 
@@ -114,12 +114,7 @@ def _cmd_catalog(args) -> int:
     if args.emit_trajectory:
         if args.x is None:
             raise InvalidInput("--emit-trajectory requires --x")
-        if not args.out:
-            raise InvalidInput("--emit-trajectory requires --out")
-        x0 = _parse_state(args.x, entry)
-        traj = sample_trajectory(entry.system, x0, np.linspace(0.0, args.tmax, args.steps))
-        export_trajectory_csv(traj, args.out)
-        return 0
+        return _emit_trajectory(args, entry.system, _parse_state(args.x, entry))
 
     meta = {
         "name": entry.name,
@@ -191,7 +186,7 @@ def _evidence_checks(cand, entry, states, times, tol, floor, rows=None) -> tuple
     ]
     if q.properness["available"]:
         rho, flagged = q.properness["spearman_rho"], q.properness["flagged"]
-        checks.append(_check("properness_probe", rho, 0.9, not flagged))
+        checks.append(_check("properness_probe", rho, PROPERNESS_RHO, not flagged))
     return checks, q.properness
 
 
@@ -291,11 +286,8 @@ def _cmd_phase(args) -> int:
 def _cmd_index(args) -> int:
     entry = catalog.get(args.system)
     target = _parse_state(args.equilibrium, entry)
-    match = None
-    for eq in entry.equilibria:
-        if np.linalg.norm(np.asarray(eq.location) - target) < 1e-6:
-            match = eq
-            break
+    match = next((eq for eq in entry.equilibria
+                  if np.linalg.norm(np.asarray(eq.location) - target) < 1e-6), None)
     if match is None:
         raise InvalidInput(f"{entry.name} has no catalogued equilibrium at {target.tolist()}")
     report_eq = obstruct.hopf_index_2d(
@@ -371,20 +363,13 @@ def _cmd_pinched(args) -> int:
         raise InvalidInput(f"could not load spec {args.spec!r}: {err}") from err
 
     if args.emit_trajectory:
-        if not args.out:
-            raise InvalidInput("--emit-trajectory requires --out")
         try:
             with open(args.emit_trajectory) as fh:
                 theta0 = np.array(json.load(fh)["theta"], dtype=float)
         except (OSError, ValueError, KeyError, TypeError) as err:
             raise InvalidInput(f"could not load start point: {err}") from err
-        if theta0.shape != (spec.n,) or not np.all(np.isfinite(theta0)):
-            raise InvalidInput(f"start point needs {spec.n} finite angles, got {theta0.tolist()}")
-        point = pinched.make_point(spec, theta0)
-        traj = sample_trajectory(spec.system, point, np.linspace(0.0, args.tmax, args.steps))
-        states = pinched.canonical_embedding(spec, traj.states)
-        export_trajectory_csv(Trajectory(traj.times, states), args.out)
-        return 0
+        embed = partial(pinched.canonical_embedding, spec)
+        return _emit_trajectory(args, spec.system, pinched.make_point(spec, theta0), embed)
 
     rng = np.random.default_rng(args.seed)
     family = pinched.verify_family(spec, n_samples=args.samples, rng=rng)

@@ -139,6 +139,8 @@ def collect_snapshots(sys: FlowSystem, initial_states, step: float, count: int) 
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim == 1:
         initial_states = initial_states[None, :]
+    if not len(initial_states):
+        raise InvalidInput("snapshots need at least one initial state")
     per_state = int(np.ceil(count / len(initial_states)))
     lengths = np.clip(count - per_state * np.arange(len(initial_states)), 0, per_state)
     rolls = np.empty((len(initial_states), per_state + 1, initial_states.shape[1]))

@@ -86,6 +86,9 @@ TRANSVERSE_FLOOR = 1e-2
 # largest ||F(X)[0] - F(X[0])|| the quality check accepts: a map must give a
 # single state the image its batch row gets
 BATCH_TOL = 1e-12
+# the properness probe passes when |F| on the escape path ranks with the escape
+# values above this Spearman rho and grows by more than this factor
+PROPERNESS_RHO, PROPERNESS_GROWTH = 0.9, 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,7 +575,7 @@ def verify_embedding_quality(
             "available": True,
             "spearman_rho": rho,
             "norm_growth_ratio": growth,
-            "flagged": not (rho > 0.9 and growth > 2.0),
+            "flagged": not (rho > PROPERNESS_RHO and growth > PROPERNESS_GROWTH),
         }
 
     return QualityReport(

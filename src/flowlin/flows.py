@@ -280,7 +280,7 @@ def torus_translation(name: str, omega) -> FlowSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled trajectory: strictly increasing times and matching states."""
+    """Sampled trajectory: strictly increasing (T,) times and (T, dim) states, all finite."""
 
     times: np.ndarray
     states: np.ndarray
@@ -288,8 +288,8 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or x.shape[0] != t.shape[0]:
-            raise InvalidInput("times and states must have matching leading length")
+        if t.ndim != 1 or x.ndim != 2 or x.shape[0] != t.shape[0]:
+            raise InvalidInput(f"times (T,) and states (T, dim) do not match: {t.shape}, {x.shape}")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise InvalidInput("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
@@ -359,7 +359,11 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
     # np.ndim costs microseconds on a Python float, the common single-state call
     per_row = not isinstance(t, float) and np.ndim(t) > 0
     if per_row:
-        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+        try:
+            t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+        except ValueError:
+            raise InvalidInput(f"{sys.name}: times of shape {np.shape(t)} do not fit "
+                               f"states of shape {x.shape}") from None
     _check_domain(sys, x, t)
     if not per_row and t == 0.0:
         return sys.chart.wrap(x)
@@ -375,7 +379,7 @@ def evolve(sys: FlowSystem, x, t) -> np.ndarray:
 
 
 def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
-    """Sample the trajectory through x on an increasing time grid.
+    """Sample the trajectory through the one ``(dim,)`` state x on an increasing time grid.
 
     Closed-form systems are evaluated in one batched evolve call; vector-field
     systems use a single adaptive pass per time direction with dense-output
@@ -389,6 +393,8 @@ def sample_trajectory(sys: FlowSystem, x, t_grid) -> Trajectory:
     if not np.all(np.diff(t_grid) > 0):
         raise InvalidInput("times must be strictly increasing")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InvalidInput(f"{sys.name}: a trajectory starts at one state, got shape {x.shape}")
     states = np.broadcast_to(x, t_grid.shape + x.shape)
     if sys.closed_form is not None:
         return Trajectory(t_grid, evolve(sys, states, t_grid))
@@ -415,34 +421,28 @@ def check_group_law(sys: FlowSystem, samples: Sequence, tol: float) -> GroupLawR
     """Verify evolve(evolve(x, s), t) == evolve(x, s + t) on sample triples.
 
     All samples go through three batched evolve calls.  Evolve errors are
-    collected, not raised, so one bad sample does not abort the rest: a
-    failing batch is split in halves until each failing sample has raised
-    its own error on its own.  With no sample checked, the violation is NaN
-    and the report fails: no evidence.
+    collected, not raised: when the batch fails, each sample runs on its own
+    (a batch row repeats its solo run bit for bit), and a failing sample
+    records its own error.  With no sample checked, the violation is NaN and
+    the report fails: no evidence.
     """
-    failures = []
 
-    def violations(xs, s, t, idx):
-        if len(idx) == 1:  # the sample's own evolve
-            xs, s, t = xs[0], s[0], t[0]
-        try:
-            two_step = evolve(sys, evolve(sys, xs, s), t)
-            one_step = evolve(sys, xs, s + t)
-        except FlowlinError as err:
-            if len(idx) == 1:
-                failures.append((int(idx[0]), repr(err)))
-                return np.empty(0)
-            half = len(idx) // 2
-            return np.concatenate([
-                violations(xs[:half], s[:half], t[:half], idx[:half]),
-                violations(xs[half:], s[half:], t[half:], idx[half:]),
-            ])
-        return np.atleast_1d(sys.chart.distances(two_step, one_step))
+    def violations(xs, s, t):
+        two_step = evolve(sys, evolve(sys, xs, s), t)
+        return sys.chart.distances(two_step, evolve(sys, xs, s + t))
 
-    found = np.empty(0)
+    found, failures = [np.empty(0)], []
     if len(samples):
         xs, s, t = (np.asarray(c, dtype=float) for c in zip(*samples))
-        found = violations(xs, s, t, np.arange(len(samples)))
+        try:
+            found.append(violations(xs, s, t))
+        except FlowlinError:
+            for i, sample in enumerate(zip(xs, s, t)):
+                try:
+                    found.append(violations(*sample))
+                except FlowlinError as err:
+                    failures.append((i, repr(err)))
+    found = np.concatenate(found)
     violation = worst(found)
     return GroupLawReport(
         max_violation=violation,
@@ -454,9 +454,6 @@ def check_group_law(sys: FlowSystem, samples: Sequence, tol: float) -> GroupLawR
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header t,x1,...,xn and 17 significant digits."""
-    dim = traj.states.shape[1] if traj.states.ndim == 2 else 0
-    header = "t" + "".join(f",x{i + 1}" for i in range(dim))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+    rows = np.column_stack([traj.times, traj.states])
+    header = ",".join(["t", *(f"x{i}" for i in range(1, rows.shape[1]))])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -193,12 +193,18 @@ def _rk_step(f, x, h, k0):
 
 
 def _columns(derivatives, n: int) -> np.ndarray:
-    """A batch field's derivatives as one (dim, n) array; a constant coordinate,
-    looked for only once np.array finds the rows ragged, fills its row."""
+    """A batch field's derivatives as one (dim, n) array.  Constants, which fill their rows,
+    and other lengths (InvalidInput) are looked for only when np.array gives no 2-D array."""
     try:
-        return np.array(derivatives, dtype=float)
+        out = np.array(derivatives, dtype=float)
+        if out.ndim == 2:
+            return out
     except ValueError:
-        return np.array([d if np.ndim(d) else np.full(n, d) for d in derivatives], dtype=float)
+        pass
+    try:
+        return np.array([np.broadcast_to(d, (n,)) for d in derivatives], dtype=float)
+    except ValueError as err:
+        raise InvalidInput(f"a field coordinate must be a constant or {n} rows: {err}") from None
 
 
 def _first_bad(bad, t, rows):

@@ -153,7 +153,8 @@ def _classify(chart, estimates: np.ndarray) -> Classification:
         "first_gap": float(gaps[0]) if len(gaps) else 0.0,
         "last_gaps": gaps[-3:].tolist(),
     }
-    if len(gaps) >= 3:
+    # a NaN estimate is at distance inf, which reads as drift; it is no evidence
+    if len(gaps) >= 3 and np.all(np.isfinite(estimates)):
         last3 = gaps[-3:]
         if np.all(last3 < CONVERGE_TOL) and all(
             _gap_ok(gaps[i + 1], gaps[i]) for i in range(len(gaps) - 3, len(gaps) - 1)

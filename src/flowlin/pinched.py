@@ -246,12 +246,17 @@ def make_spec(n, m, M, base_boxes, loci_boxes, omega_terms=None) -> PinchedTorus
 def make_point(spec: PinchedTorusSpec, theta):
     """Family points ``[theta | base]`` of raw angles ``theta`` (N, n), as (N, n + m) rows.
 
-    Raises NotInFamily, naming the first offending base point, if some
-    M theta mod 1 lies outside the base region.  A base lies in [0, 1), where
-    ``evolve`` keeps it bit for bit: the second mod maps the 1.0 that a tiny
-    negative M theta rounds to onto 0.0, as the chart's wrap would.
+    Raises InvalidInput unless theta holds n finite angles on its last axis, and NotInFamily,
+    naming the first offending base point, if some M theta mod 1 lies outside the base region.
+    A base lies in [0, 1), where ``evolve`` keeps it bit for bit: the second mod maps the 1.0
+    that a tiny negative M theta rounds to onto 0.0, as the chart's wrap would.
     """
-    theta = np.mod(np.asarray(theta, dtype=float), 1.0)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (spec.n,):
+        raise InvalidInput(f"a family point takes {spec.n} angles theta, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInput(f"angles theta must be finite, got {theta[~np.isfinite(theta)][0]}")
+    theta = np.mod(theta, 1.0)
     base = np.mod(np.mod(theta @ spec.M.T, 1.0), 1.0)
     outside = ~spec.base_region.contains(base)
     if np.any(outside):

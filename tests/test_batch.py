@@ -379,6 +379,29 @@ def test_field_with_a_constant_coordinate_integrates_a_batch(field):
     np.testing.assert_array_equal(dense[0], integrate(field, X[0], 0.0, 1.0)(0.5))
 
 
+def test_field_of_constants_integrates_a_batch():
+    # no coordinate is an (N,) row: each constant fills its row
+    field = lambda x: (1.0, 0.5)  # noqa: E731
+    X = np.array([[0.0, 1.0], [0.5, -2.0], [3.0, 0.25]])
+    dense = integrate(field, X, 0.0, 1.0)
+    for i, x in enumerate(X):
+        solo = integrate(field, x, 0.0, 1.0)
+        np.testing.assert_array_equal(dense(1.0)[i], solo(1.0))
+        np.testing.assert_array_equal(dense(0.3)[i], solo(0.3))
+    sys = FlowSystem("constant", euclidean(2), vector_field=field)
+    t = np.array([1.0, 2.5, -0.75])
+    batch = evolve(sys, X, t)
+    for i in range(len(X)):
+        np.testing.assert_array_equal(batch[i], evolve(sys, X[i], float(t[i])))
+
+
+def test_field_coordinate_of_another_length_is_refused():
+    X = np.zeros((3, 2))
+    for field in (lambda x: (1.0, x[1][:2]), lambda x: (x[0], x[1][:2])):
+        with pytest.raises(InvalidInput, match="must be a constant or 3 rows"):
+            integrate(field, X, 0.0, 1.0)
+
+
 def _blowup():
     # dx/dt = x^2 leaves every bound at t = 1 / x0
     return FlowSystem("blowup", euclidean(1), vector_field=lambda x: (x[0] * x[0],))

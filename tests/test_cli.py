@@ -486,13 +486,40 @@ def test_input_outside_the_arithmetic_exits_2_naming_the_fault(tmp_path, capsys,
     ],
 )
 def test_start_off_the_punctured_plane_exits_2(tmp_path, capsys, argv, system, text):
-    # r <= 0 is off the chart's domain; log_radial at r = 0 is a case of the test above
+    # r <= 0 is off the chart's domain; log_radial at r = 0 is a case of the test above.
+    # The library's domain gate names the offending coordinate's value
     out = tmp_path / "o.csv"
     assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"flowlin: InvalidInput: {system}: coordinate x1 of the polar_annulus chart "
-        f"must be > 0, got {text!r}\n"
+        f"must be > 0, got {float(text.split(',')[0]):g}\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phase", "--system", "log_radial", "--x", "1,0,5"],
+         "log_radial: a state of the polar_annulus chart has 2 coordinates, got shape (3,)"),
+        (["index", "--system", "sphere_rotation", "--equilibrium", "0,1"],
+         "sphere_rotation: a state of the euclidean chart has 3 coordinates, got shape (2,)"),
+        (["pinched", "--spec", "SPEC", "--emit-trajectory", "START_ONE_ANGLE"],
+         "a family point takes 2 angles theta, got shape (1,)"),
+        (["pinched", "--spec", "SPEC", "--emit-trajectory", "START_TWO_POINTS"],
+         "pinched: a trajectory starts at one state, got shape (2, 3)"),
+    ],
+)
+def test_start_state_is_refused_by_the_library_gate(tmp_path, capsys, argv, message):
+    # the CLI parses; the library's domain gate and make_point word the refusal
+    files = {"SPEC": SINGLE_PINCH, "START_ONE_ANGLE": {"theta": [0.1]},
+             "START_TWO_POINTS": {"theta": [[0.1, 0.2], [0.3, 0.4]]}}
+    for key, data in files.items():
+        (tmp_path / key).write_text(json.dumps(data))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"flowlin: InvalidInput: {message}\n"
     assert not out.exists()
 
 

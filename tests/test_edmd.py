@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowlin import catalog, edmd
+from flowlin import InvalidInput, catalog, edmd
 from flowlin.errors import FlowlinError
 from flowlin.linalg import matrix_exp
 
@@ -25,6 +25,12 @@ def test_snapshots_roll_along_trajectories():
     snaps = edmd.collect_snapshots(entry.system, [[0.1, 0.2]], 0.5, 4)
     np.testing.assert_allclose(snaps.X[1], snaps.Y[0])
     np.testing.assert_allclose(snaps.X[3], snaps.Y[2])
+
+
+def test_snapshots_need_an_initial_state():
+    entry = catalog.get("log_radial")
+    with pytest.raises(InvalidInput, match="at least one initial state"):
+        edmd.collect_snapshots(entry.system, np.zeros((0, 2)), 0.1, 10)
 
 
 def test_fit_requires_enough_pairs():

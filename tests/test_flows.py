@@ -94,6 +94,21 @@ def test_state_with_the_wrong_number_of_coordinates_is_refused(state):
         estimate_phase(log_radial.system, log_radial.attractor, state, GeometricSchedule(1, 2, 8))
 
 
+@pytest.mark.parametrize("twin", ["system", "ode_system"])
+def test_times_that_do_not_fit_the_states_are_refused(twin):
+    sys = getattr(catalog.get("log_radial"), twin)
+    with pytest.raises(InvalidInput, match=r"times of shape \(2,\) do not fit states of "
+                                           r"shape \(3, 2\)$"):
+        evolve(sys, np.ones((3, 2)), [0.1, 0.2])
+
+
+@pytest.mark.parametrize("twin", ["system", "ode_system"])
+def test_trajectory_starts_at_one_state(twin):
+    sys = getattr(catalog.get("log_radial"), twin)
+    with pytest.raises(InvalidInput, match=r"one state, got shape \(1, 2\)$"):
+        sample_trajectory(sys, [[1.5, 0.3]], [0.0, 0.5])
+
+
 def test_annulus_closed_form_value():
     sys = catalog.get("annulus_cubic").system
     out = evolve(sys, [2.0, 0.0], 4.0)
@@ -238,6 +253,13 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [np.nan]]))
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (3, 2)])
+def test_trajectory_states_are_one_row_per_time(shape):
+    # the CSV export writes one row per time and one column per coordinate
+    with pytest.raises(InvalidInput, match=r"do not match: \(2,\), "):
+        Trajectory(np.array([0.0, 1.0]), np.zeros(shape))
+
+
 # --- group law -------------------------------------------------------------------
 
 
@@ -317,6 +339,20 @@ def test_group_law_batch_keeps_each_failure(twin):
         evolve(sys, samples[5][0], -0.7)
     assert report.failures[0][1] == repr(err.value)
     assert report.max_violation <= 1e-7 and not report.passed
+
+
+def test_group_law_after_a_failure_keeps_the_batch_violations():
+    # the samples that pass run on their own once the batch fails; their
+    # violations are the bits the batch gives them
+    entry = catalog.get("saddle_plane")
+    xs = entry.sample_states(np.random.default_rng(3), 6)
+    times = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2))
+    samples = [(x, s, t) for x, (s, t) in zip(xs, times)]
+    clean = check_group_law(entry.ode_system, samples, tol=1e-7)
+    bad = (xs[0], 2.0**60, 0.0)  # beyond MAX_TIME
+    report = check_group_law(entry.ode_system, [*samples[:2], bad, *samples[2:]], tol=1e-7)
+    assert [idx for idx, _ in report.failures] == [2] and report.n_checked == 6
+    assert report.max_violation == clean.max_violation
 
 
 def test_group_law_zero_times_exact():
@@ -466,6 +502,33 @@ def test_csv_header_and_digits(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,x2"
     assert lines[1].split(",")[1] == "0.33333333333333331"
+
+
+def _reference_csv(traj: Trajectory, path) -> None:
+    """The row-by-row writer the CSV export replaced, kept as its byte reference."""
+    dim = traj.states.shape[1] if traj.states.ndim == 2 else 0
+    header = "t" + "".join(f",x{i + 1}" for i in range(dim))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for t, row in zip(traj.times, traj.states):
+            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [
+        Trajectory(np.array([-0.0, 5e-324, 0.1, 1e308]),
+                   np.array([[-0.0, 1e308, 0.1], [5e-324, -5e-324, 1.0 / 3.0],
+                             [1.0 / 3.0, -1e308, 2.0**-1074], [1e-310, 0.1 + 0.2, -0.0]])),
+        Trajectory(np.linspace(0.0, 1.0, 7), np.random.default_rng(0).normal(size=(7, 2)) * 1e5),
+        Trajectory(np.zeros(0), np.zeros((0, 2))),
+    ],
+    ids=["awkward", "random", "empty"],
+)
+def test_csv_matches_the_row_by_row_writer(tmp_path, traj):
+    export_trajectory_csv(traj, tmp_path / "new.csv")
+    _reference_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_empty_trajectory_header_only(tmp_path):

@@ -123,6 +123,16 @@ def test_short_schedule_is_inconclusive():
     assert est.classification.kind == "inconclusive"
 
 
+@pytest.mark.parametrize("name", ["log_radial", "annulus_cubic"])
+def test_nan_start_is_inconclusive_not_diverged(name):
+    # a NaN estimate sits at distance inf from every other, which is no drift
+    entry = catalog.get(name)
+    est = estimate_phase(entry.system, entry.attractor, [2.0, np.nan], GeometricSchedule(1, 2, 8))
+    assert np.isnan(est.estimates).any()
+    assert est.classification.kind == "inconclusive"
+    assert "diverged_by" not in est.classification.drift
+
+
 def test_cloud_projection_refinement():
     # drop the exact projector; the cloud + quadratic refinement along the
     # flow must localize the nearest circle point well below cloud resolution

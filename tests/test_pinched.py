@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowlin import pinched
+from flowlin import InvalidInput, pinched
 from flowlin.cli import main
 from flowlin.flows import TimeOutOfDomain, evolve, sample_trajectory, torus_angles
 from flowlin.linalg import matrix_exp
@@ -368,6 +368,19 @@ def test_membership_gate():
     make_point(spec, [0.3, 0.2])  # base 0.2 inside the arc
     with pytest.raises(NotInFamily):
         make_point(spec, [0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [([0.3], r"takes 2 angles theta, got shape \(1,\)"),
+     ([[0.3, 0.2, 0.1]], r"takes 2 angles theta, got shape \(1, 3\)"),
+     ([0.3, np.nan], "must be finite, got nan"),
+     ([[0.3, 0.2], [np.inf, 0.2]], "must be finite, got inf")],
+    ids=["short", "long", "nan", "inf"],
+)
+def test_make_point_refuses_a_malformed_theta(theta, message):
+    with pytest.raises(InvalidInput, match=message):
+        make_point(single_pinch_spec(), theta)
 
 
 def test_locus_must_sit_inside_base_region():
