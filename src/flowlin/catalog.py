@@ -334,11 +334,11 @@ def _annulus_closed(t, x):
 
 
 def _annulus_t_min(x):
-    u = x[..., 0] - 1.0
-    uu = u * u
-    # on the limit cycle (u == 0) this is -0.5 / 0 = -inf: no bound
+    r = x[..., 0][()]  # one state's r as a float, whose arithmetic skips ufunc dispatch
+    u = r - 1.0
+    # -0.5 / 0 = -inf on the limit cycle: no bound; r (r - 2) is u^2 - 1 unrounded near r = 0
     with np.errstate(divide="ignore"):
-        return np.where(u > 0.0, -0.5, 0.5 * (uu - 1.0)) / uu
+        return np.where(u > 0.0, -0.5, 0.5 * r * (r - 2.0)) / (u * u)
 
 
 def _annulus_field(x):

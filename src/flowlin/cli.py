@@ -74,7 +74,7 @@ def _write_report(args, checks: list[dict], extra: dict) -> int:
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as err:
         raise InvalidInput(f"could not parse numbers from {text!r}") from err
 

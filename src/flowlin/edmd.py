@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import ChartDescriptor, FlowSystem, circle_coords, evolve
+from .flows import ChartDescriptor, FlowSystem, _batch_image, circle_coords, evolve
 from .linalg import solve_positive_definite
 from .phase import GeometricSchedule, estimate_phase
 
@@ -62,15 +62,7 @@ class Dictionary:
 
     def matrix(self, states: np.ndarray) -> np.ndarray:
         """Psi of every row of ``states``; a map that breaks the batch convention raises."""
-        states = np.asarray(states, float)
-        out = np.asarray(self.evaluate(states), dtype=float)
-        if out.shape != (len(states), self.size):
-            raise FlowlinError(
-                f"{self.kind} dictionary mapped states of shape {states.shape} to shape "
-                f"{out.shape}, expected {(len(states), self.size)}; it must act row-wise "
-                "on batches"
-            )
-        return out
+        return _batch_image(self.evaluate, states, self.size, f"{self.kind} dictionary")
 
 
 def fourier_dictionary(chart: ChartDescriptor, degree: int) -> Dictionary:

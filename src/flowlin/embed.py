@@ -13,8 +13,8 @@ one batched impact-time solve per call, and each verification passes all of
 its states to F in one call.  ``verify_embedding_quality``, the evidence
 behind a report, takes one state array: the states and their flowed copies,
 the finite-difference probes of its quality rows and the escape states go
-through F together, and one single-state call sees that F honours the
-convention.
+through F together, and one single-state call sees that no row depends on
+the rest of the batch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import FlowSystem, _check_domain, evolve
+from .flows import FlowSystem, _batch_image, _check_domain, evolve
 from .linalg import block_diag, expm_apply, generator, least, row_norms, worst
 from .phase import AttractorModel, verify_phase_properties
 
@@ -323,8 +323,8 @@ def build_topological_embedding(
     X = np.asarray(validation_states, dtype=float)[:10]
     X = X[~(np.asarray(V(X), float) <= ATTRACTOR_TOL)]
     if len(X):
-        hit = np.asarray(F1(evolve(sys, X, impact_time(sys, V, c, X))), float)
-        norms = row_norms(hit)
+        hit = evolve(sys, X, impact_time(sys, V, c, X))
+        norms = row_norms(_batch_image(F1, hit, n1, "level-set embedding F1"))
         off = np.abs(norms - 1.0) > 1e-12
         if off.any():
             raise InvalidInput(f"level-set embedding not on the unit sphere: |F1| = {norms[off][0]}")
@@ -498,7 +498,8 @@ def verify_linearization(cand: EmbeddingCandidate, sys: FlowSystem, grid) -> flo
     """
     X, times = np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float)
     flowed = _flowed(sys, X, times)
-    images = np.asarray(cand.F(np.concatenate([X, flowed])), float) if len(flowed) else flowed
+    batch = np.concatenate([X, flowed])
+    images = _batch_image(cand.F, batch, len(cand.B), "embedding F") if len(flowed) else flowed
     return _residual(cand.B, times, images[: len(X)], images[len(X) :])
 
 
@@ -547,23 +548,24 @@ def verify_embedding_quality(
     ``(states, values)`` along an escape path, or None; with at least 4
     states it gives the properness probe, never a certificate.  The states,
     their flowed copies, the Jacobian probes and the escape states go
-    through one call of F; the first state goes through F once more alone,
-    and the distance of that image from its batch row is the batch
-    disagreement, so a map written for one state that reads its whole
-    argument shows up instead of silently misreading a batch.
+    through one call of F, and the first state once more alone.  Each call
+    must give one ``len(B)`` row per state, so a map written for one state
+    raises InvalidInput there.  The distance of the lone image from its
+    batch row is the batch disagreement: it catches a map of the right
+    shape whose values depend on the rest of the batch.
     """
     X, times = np.asarray(states, dtype=float), np.asarray(times, dtype=float)
-    Q, dim = X[:quality_rows], X.shape[-1]
+    Q, dim, k = X[:quality_rows], X.shape[-1], len(cand.B)
     esc = X[:0]
     if escape is not None and len(escape[0]) >= 4:
         esc = np.asarray(escape[0], dtype=float)
     parts = [X, _flowed(sys, X, times), _fd_probes(Q).reshape(-1, dim), esc]
-    out = np.asarray(cand.F(np.concatenate(parts)), dtype=float)
+    out = _batch_image(cand.F, np.concatenate(parts), k, "embedding F")
     images, flowed, probed, escaped = np.split(out, np.cumsum([len(p) for p in parts[:-1]]))
     disagreement = np.nan  # no state, no evidence
     if len(Q):
-        disagreement = float(row_norms(images[0] - np.asarray(cand.F(Q[0]), float)))
-    probed = probed.reshape(len(Q), 2 * dim, out.shape[-1])
+        disagreement = float(row_norms(images[0] - _batch_image(cand.F, Q[0], k, "embedding F")))
+    probed = probed.reshape(len(Q), 2 * dim, k)
     sigmas = np.linalg.svd(_fd_difference(probed), compute_uv=False)[..., -1]
 
     properness = {"available": False}

@@ -65,6 +65,16 @@ def join_coords(*coords) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
 
 
+def _batch_image(f: Callable, states: np.ndarray, width: int, what: str) -> np.ndarray:
+    """``f(states)`` as floats, refused unless it holds one ``width`` row per state."""
+    states = np.asarray(states, dtype=float)
+    image, expected = np.asarray(f(states), dtype=float), states.shape[:-1] + (width,)
+    if image.shape != expected:
+        raise InvalidInput(f"{what} mapped states of shape {states.shape} to shape "
+                           f"{image.shape}, expected {expected}; it must act row-wise on batches")
+    return image
+
+
 def circle_coords(ang, rho) -> np.ndarray:
     """The points rho e^{i ang} of C^k as (re, im) pairs: (..., k) angles -> (..., 2k)."""
     out = np.empty(ang.shape[:-1] + (2 * ang.shape[-1],))
@@ -113,13 +123,7 @@ class ChartDescriptor:
         return out
 
     def _identify(self, g: Callable, states: np.ndarray) -> np.ndarray:
-        image = np.asarray(g(states), dtype=float)
-        if image.shape != states.shape:
-            raise FlowlinError(
-                f"{self.kind}: identification mapped states of shape {states.shape} "
-                f"to shape {image.shape}; it must act row-wise on batches"
-            )
-        return self.wrap(image)
+        return self.wrap(_batch_image(g, states, self.dim, f"{self.kind}: identification"))
 
     @cached_property
     def _group_words(self) -> tuple:

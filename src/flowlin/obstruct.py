@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import FlowSystem, evolve, torus_angles, torus_translation
+from .flows import FlowSystem, _batch_image, evolve, torus_angles, torus_translation
 from .linalg import frequency_vector, rational_independence, worst
 
 __all__ = [
@@ -104,18 +104,19 @@ def hopf_index_2d(field: Callable, center, radius: float, n_samples: int = 256) 
     """Winding number of the field around an isolated planar equilibrium.
 
     ``field`` maps an (N, 2) array of points to an (N, 2) array of vectors.
-    Sampling doubles (up to 2**20 points) until every angle increment is
-    below pi/2 and the accumulated angle sits within 0.1 rad of a multiple
-    of 2*pi.
+    Sampling starts at n_samples, 64 to 2**20, and doubles (up to 2**20
+    points) until every angle increment is below pi/2 and the accumulated
+    angle sits within 0.1 rad of a multiple of 2*pi.
     """
-    if n_samples < MIN_WINDING_SAMPLES:
-        raise InvalidInput(f"need at least {MIN_WINDING_SAMPLES} circle samples")
+    if not MIN_WINDING_SAMPLES <= n_samples <= MAX_WINDING_SAMPLES:
+        raise InvalidInput(f"circle samples must lie in [{MIN_WINDING_SAMPLES}, "
+                           f"{MAX_WINDING_SAMPLES}], got {n_samples}")
     center = np.asarray(center, dtype=float)
     n = int(n_samples)
     while True:
         phi = np.linspace(0.0, 2.0 * np.pi, n + 1)
         pts = center + radius * np.column_stack([np.cos(phi), np.sin(phi)])
-        vals = np.asarray(field(pts), dtype=float)
+        vals = _batch_image(field, pts, 2, "planar field")
         norms = np.linalg.norm(vals, axis=1)
         min_norm = float(norms.min())
         if min_norm <= MIN_FIELD_NORM:
@@ -268,8 +269,9 @@ def quasiperiodic_factor_certificate(
     states = rng.random((n_samples, n)) * periods
     times = rng.uniform(-10.0, 10.0, n_samples)
 
-    lhs = np.asarray(Fmap(evolve(sys, states, times)), dtype=float)
-    rhs = evolve(torus_translation("factor_translation", w), Fmap(states), times)
+    lhs = _batch_image(Fmap, evolve(sys, states, times), n, "factor map Fmap")
+    start = _batch_image(Fmap, states, n, "factor map Fmap")
+    rhs = evolve(torus_translation("factor_translation", w), start, times)
     residual = worst(torus_angles(n).distances(lhs, rhs))
     if not residual <= tol:
         return Verdict(

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FlowlinError, InvalidInput
-from .flows import FlowSystem, evolve
+from .flows import FlowSystem, _batch_image, evolve
 from .integrate import batch_pow
 from .linalg import worst
 
@@ -66,10 +66,10 @@ class AttractorModel:
         refines along the flow only, so on an attractor of dimension above 1
         the cloud search is only as good as the cloud's spacing.
         """
-        if self.exact_projector is not None:
-            return self.restricted_flow.chart.wrap(np.asarray(self.exact_projector(x), float))
-        X = np.atleast_2d(np.asarray(x, dtype=float))
         chart, flow = self.restricted_flow.chart, self.restricted_flow
+        if self.exact_projector is not None:
+            return chart.wrap(_batch_image(self.exact_projector, x, chart.dim, "exact projector"))
+        X = np.atleast_2d(np.asarray(x, dtype=float))
         best = self.cloud[np.argmin(chart.distances(X[:, None, :], self.cloud), axis=-1)]
         # refine along the flow: fit a parabola to d^2 at offsets {-h, 0, h},
         # with h the cloud resolution around the best point
@@ -221,18 +221,21 @@ def verify_phase_properties(
     A violation over no samples (or no times) is NaN, so the report fails.
     """
     chart = sys.chart
+    def image(states):
+        return _batch_image(P, states, chart.dim, "phase map P")
+
     X = np.asarray(samples, dtype=float)
-    PX = np.asarray(P(X), dtype=float)
-    idem = chart.distances(P(PX), PX)
+    PX = image(X)
+    idem = chart.distances(image(PX), PX)
     A = np.asarray(attractor_samples, dtype=float)
-    restrict = chart.distances(P(A), A)
+    restrict = chart.distances(image(A), A)
 
     # the samples and their images flowed by every time in one evolve, in
     # rows (samples or images, time, sample)
     times = np.asarray(t_grid, dtype=float)
     batch = np.concatenate([np.tile(X, (len(times), 1)), np.tile(PX, (len(times), 1))])
     xt, pxt = np.split(evolve(sys, batch, np.tile(np.repeat(times, len(X)), 2)), 2)
-    equiv = chart.distances(P(xt), pxt)
+    equiv = chart.distances(image(xt), pxt)
     gaps = chart.distances(xt, pxt).reshape(len(times), len(X))
     # per sample, the gaps after the first time must not grow by more than tol
     tail = gaps[1:]

@@ -1,5 +1,6 @@
 """State batches: every batched path agrees bit for bit with one state at a time."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -9,8 +10,17 @@ from hypothesis import strategies as st
 
 from flowlin import InvalidInput, catalog, edmd, embed
 from flowlin.embed import BracketFailure, OnAttractor, impact_time
-from flowlin.flows import MAX_TIME, FlowSystem, TimeOutOfDomain, euclidean, evolve
+from flowlin.flows import (
+    MAX_TIME,
+    ChartDescriptor,
+    FlowSystem,
+    TimeOutOfDomain,
+    euclidean,
+    evolve,
+)
 from flowlin.integrate import IntegrationFailure, integrate
+from flowlin.obstruct import hopf_index_2d, quasiperiodic_factor_certificate
+from flowlin.phase import AttractorModel, verify_phase_properties
 
 CLOSED_FORMS = [name for name in catalog.names() if catalog.get(name).system.closed_form]
 ODE_TWINS = [name for name in catalog.names() if catalog.get(name).ode_system]
@@ -526,3 +536,117 @@ def test_equilibrium_row_integrates_on_both_paths():
     np.testing.assert_array_equal(batch[0], [0.0, 0.0])
     for x, row in zip(X, batch):
         np.testing.assert_array_equal(integrate(sys.vector_field, x, 0.0, 1.0)(1.0), row)
+
+
+# --- the batch-convention gate --------------------------------------------------
+#
+# Every caller-supplied map the evidence layer evaluates must give one row of
+# the stated width per state.  Two ways to break that: a map written for one
+# state, which reads the first row of a batch, and a map of the wrong width.
+
+
+def _one_state(f):
+    return lambda x: f(np.asarray(x)[0])
+
+
+def _too_wide(f):
+    return lambda x: np.concatenate([f(x), f(x)[..., :1]], axis=-1)
+
+
+BAD_MAPS = [pytest.param(_one_state, id="one_state"), pytest.param(_too_wide, id="too_wide")]
+GATE = "mapped states of shape .* it must act row-wise on batches"
+
+
+def _log_radial_states(n=5):
+    return catalog.get("log_radial").sample_states(np.random.default_rng(0), n)
+
+
+def _bad_exact_embedding(bad):
+    exact = catalog.get("log_radial").exact_embedding
+    return embed.EmbeddingCandidate(bad(exact.F), exact.B)
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_chart_identification(bad):
+    g = catalog.get("klein_bottle").system.chart.identifications[0]
+    chart = ChartDescriptor("torus_angles", (1.0, 1.0), (bad(g),))
+    with pytest.raises(InvalidInput, match=f"^torus_angles: identification {GATE}$"):
+        chart.distances([0.1, 0.2], [[0.3, 0.4], [0.5, 0.6]])
+
+
+def test_gate_refuses_an_identification_that_drops_a_coordinate():
+    chart = ChartDescriptor("torus_angles", (1.0, 1.0), (lambda x: x[..., :1],))
+    message = r"^torus_angles: identification mapped states of shape \(1, 2\) to shape \(1, 1\)"
+    with pytest.raises(InvalidInput, match=message + r", expected \(1, 2\);"):
+        chart.orbit([[0.1, 0.2]])
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_dictionary(bad):
+    d = edmd.monomial_dictionary(2, 2)
+    with pytest.raises(InvalidInput, match=f"^monomial dictionary {GATE}$"):
+        edmd.Dictionary(d.kind, bad(d.evaluate), d.labels).matrix(_log_radial_states())
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_an_embedding_in_verify_linearization(bad):
+    sys = catalog.get("log_radial").system
+    with pytest.raises(InvalidInput, match=f"^embedding F {GATE}$"):
+        embed.verify_linearization(_bad_exact_embedding(bad), sys, (_log_radial_states(), [0.1]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    # the last map is right on a batch and wrong only on the lone first state
+    [*BAD_MAPS, pytest.param(lambda f: lambda x: f(np.atleast_2d(x)), id="lone_state_as_batch")],
+)
+def test_gate_refuses_an_embedding_in_verify_embedding_quality(bad):
+    sys = catalog.get("log_radial").system
+    cand = _bad_exact_embedding(bad)
+    with pytest.raises(InvalidInput, match=f"^embedding F {GATE}$"):
+        embed.verify_embedding_quality(cand, sys, _log_radial_states(), [0.1])
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_phase_map(bad):
+    entry = catalog.get("log_radial")
+    with pytest.raises(InvalidInput, match=f"^phase map P {GATE}$"):
+        verify_phase_properties(entry.system, bad(entry.exact_phase), _log_radial_states(),
+                                entry.attractor.cloud[:10], (0.0, 1.0), 1e-8)
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_an_exact_projector(bad):
+    attractor = catalog.get("log_radial").attractor
+    model = AttractorModel(attractor.cloud, attractor.restricted_flow,
+                           bad(attractor.exact_projector))
+    with pytest.raises(InvalidInput, match=f"^exact projector {GATE}$"):
+        model.nearest_point(_log_radial_states())
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_level_set_embedding(bad):
+    entry = catalog.get("log_radial")
+    lyap = dataclasses.replace(entry.lyapunov,
+                               level_set_embedding=bad(entry.lyapunov.level_set_embedding))
+    with pytest.raises(InvalidInput, match=f"^level-set embedding F1 {GATE}$"):
+        embed.build_topological_embedding(entry.system, entry.attractor, entry.exact_phase,
+                                          entry.attractor_embedding, lyap, _log_radial_states(40))
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_factor_map(bad):
+    sys = catalog.get("quasiperiodic_torus_2").system
+    Fmap = bad(lambda x: np.asarray(x, float))
+    with pytest.raises(InvalidInput, match=f"^factor map Fmap {GATE}$"):
+        quasiperiodic_factor_certificate(sys, Fmap, [1.0, np.sqrt(2.0)], 10,
+                                         rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", BAD_MAPS)
+def test_gate_refuses_a_planar_field(bad):
+    def field(p):  # a rotation read as p[..., i], so it also takes one point
+        return np.stack([-p[..., 1], p[..., 0]], axis=-1)
+
+    with pytest.raises(InvalidInput, match=f"^planar field {GATE}$"):
+        hopf_index_2d(bad(field), (0.0, 0.0), 0.5, 256)

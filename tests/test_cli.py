@@ -332,6 +332,21 @@ def test_edmd_single_state_custom_map_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_verify_single_state_exact_embedding_exits_2(tmp_path, monkeypatch, capsys):
+    # written for one state, the map returns the image of the first row of a batch
+    entry = catalog.get("log_radial")
+    F = entry.exact_embedding.F
+    embedding = EmbeddingCandidate(lambda x: F(np.asarray(x)[0]), entry.exact_embedding.B)
+    monkeypatch.setitem(
+        catalog._CACHE, "log_radial", dataclasses.replace(entry, exact_embedding=embedding)
+    )
+    out = tmp_path / "x.json"
+    assert run(["verify", "--system", "log_radial", "--embedding", "exact",
+                "--samples", "60", "--out", str(out)]) == 2
+    assert "must act row-wise on batches" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -422,6 +437,13 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         ["phase", "--system", "log_radial", "--x", "2,0", "--schedule", "geometric:1,1e308,3"],
         ["catalog", "show", "sphere_rotation", "--emit-trajectory", "--x", "1,0,0",
          "--tmax", "1e308", "--steps", "3"],
+        # a number list with an empty entry
+        ["phase", "--system", "log_radial", "--x", "2,,0"],
+        ["phase", "--system", "log_radial", "--x", "2,0,"],
+        ["certify", "--system", "quasiperiodic_torus_2", "--omega", "1,,1.4142135623730951"],
+        # refused before the circle is sampled
+        ["index", "--system", "sphere_rotation", "--equilibrium", "0,0,1",
+         "--samples", str(2**20 + 1)],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):

@@ -130,6 +130,15 @@ def test_annulus_backward_domain_enforced():
     evolve(sys, [2.0, 0.0], -0.4)  # still inside the domain
 
 
+@pytest.mark.parametrize("twin", ["system", "ode_system"])
+def test_annulus_start_near_the_puncture_stays_at_t_0(twin):
+    # at r = 1e-17, (r - 1)^2 - 1 rounds to 0; the domain bound must stay below t = 0
+    sys = getattr(catalog.get("annulus_cubic"), twin)
+    np.testing.assert_array_equal(evolve(sys, [1e-17, 0.0], 0.0), [1e-17, 0.0])
+    for r in (1e-300, 1e-17, 0.5):
+        assert sys.t_min(np.array([r, 0.0])) < 0.0
+
+
 @pytest.mark.filterwarnings("error")  # as under python -W error: no log of r runs first
 @pytest.mark.parametrize("r", [-2.0, 0.0])
 def test_start_off_the_punctured_plane_is_refused(r):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowlin import catalog
+from flowlin import InvalidInput, catalog
 from flowlin.embed import verify_linearization
 from flowlin.obstruct import (
     CERTIFIED,
@@ -57,6 +57,15 @@ def test_zero_on_circle_detected():
 def test_minimum_sample_count():
     with pytest.raises(ValueError):
         hopf_index_2d(rotation, (0.0, 0.0), 1.0, 32)
+
+
+def test_sample_count_above_the_cap_is_refused_before_sampling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled the circle")
+
+    monkeypatch.setattr(np, "linspace", never)
+    with pytest.raises(InvalidInput, match=r"must lie in \[64, 1048576\], got 1048577$"):
+        hopf_index_2d(never, (0.0, 0.0), 1.0, 2**20 + 1)
 
 
 def test_aliasing_beyond_sample_cap_rejected():

@@ -49,6 +49,24 @@ def test_every_exported_name_resolves(module):
 SOURCES = sorted((ROOT / "src" / "flowlin").glob("*.py"))
 
 
+def _string_literals(tree):
+    """Every string literal, adjacent pieces joined and f-string fields read as {}."""
+    pieces = set()  # the parts of an f-string, read with it (the walk visits it first)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            pieces.update(map(id, node.values))
+            yield "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in pieces:
+                yield node.value
+
+
+def test_batch_convention_is_worded_once():
+    # one gate in flows words the rule for every caller-supplied map
+    texts = [t for p in SOURCES for t in _string_literals(ast.parse(p.read_text()))]
+    assert sum(t.count("must act row-wise on batches") for t in texts) == 1
+
+
 def _scoped_nodes(tree):
     """(dotted name of the enclosing function or "<module>", node) for every node."""
     stack = [("<module>", tree)]
